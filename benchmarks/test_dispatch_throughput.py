@@ -5,10 +5,11 @@ the characterization-style workload (hundreds of distinct variants,
 a few configurations each) that per-campaign pool churn penalizes most:
 
 - **oracle** replicates the pre-persistent-pool path: a fresh
-  ``ProcessPoolExecutor`` per campaign, static auto-sized chunks through
-  ``_execute_chunk`` futures.  Every campaign re-pays worker spawn and
-  re-warms ``_SIM_MEMO`` (kernel-model normalization) from nothing.
-- **fresh** runs the new scheduler (``_parallel_execute`` on the shared
+  ``ProcessPoolExecutor`` per campaign, static chunks (a few per worker,
+  at most 32 jobs) through ``run_chunk`` futures.  Every campaign
+  re-pays worker spawn and re-warms ``_SIM_MEMO`` (kernel-model
+  normalization) from nothing.
+- **fresh** runs the scheduler (``_dispatch`` on the shared
   :class:`WorkerPool`, packed transport, dynamic chunking) with no pool
   alive — the first campaign of a process.
 - **warm** repeats the same campaign back-to-back: the pool and its
@@ -53,10 +54,8 @@ from repro.engine.pool import shutdown_worker_pool
 from repro.engine.runner import (
     DEFAULT_CHUNK_TARGET_MS,
     RunStats,
-    _execute_chunk,
-    _parallel_execute,
-    _SEED_CHUNK_SIZE,
-    resolve_chunk_size,
+    _dispatch,
+    run_chunk,
 )
 from repro.engine.store import open_result_cache
 from repro.kernels import loadstore_family
@@ -72,6 +71,11 @@ BATCH_ROWS = 2_000
 CHUNK_ROWS = 256
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dispatch.json"
+
+
+def _oracle_chunk(n_jobs: int) -> int:
+    """The pre-persistent-pool static chunk: ~4 per worker, capped at 32."""
+    return max(1, min(32, -(-n_jobs // (WORKERS * 4))))
 
 
 def _campaign() -> Campaign:
@@ -113,16 +117,16 @@ def _stub_run_job(launcher, job, faults=None, attempt=0):
 
 def _run_oracle(campaign, jobs) -> tuple[float, dict]:
     """The pre-persistent-pool dispatch: fresh executor, static chunks."""
-    chunk = resolve_chunk_size(None, n_jobs=len(jobs), workers=WORKERS)
+    chunk = _oracle_chunk(len(jobs))
     out: dict = {}
     started = time.perf_counter()
     with cf.ProcessPoolExecutor(max_workers=WORKERS) as pool:
         pending = [
-            pool.submit(_execute_chunk, campaign.machine, jobs[i : i + chunk])
+            pool.submit(run_chunk, campaign.machine, jobs[i : i + chunk])
             for i in range(0, len(jobs), chunk)
         ]
         for future in cf.as_completed(pending):
-            for job_id, payload in future.result():
+            for job_id, payload, _seconds in future.result():
                 out[job_id] = payload
     return time.perf_counter() - started, out
 
@@ -130,20 +134,15 @@ def _run_oracle(campaign, jobs) -> tuple[float, dict]:
 def _run_new(campaign, jobs) -> tuple[float, dict]:
     """The persistent-pool dispatch (spawns only if no pool is alive)."""
     out: dict = {}
-    stats = RunStats(
-        total_jobs=len(jobs),
-        workers=WORKERS,
-        chunk_policy="dynamic",
-        chunk_size=_SEED_CHUNK_SIZE,
-    )
+    stats = RunStats(total_jobs=len(jobs), workers=WORKERS)
 
-    def record_batch(pairs):
+    def record(pairs):
         for job, dicts in pairs:
             out[job.job_id] = dicts
         return [True] * len(pairs)
 
     started = time.perf_counter()
-    leftover = _parallel_execute(
+    _dispatch(
         campaign,
         jobs,
         stats=stats,
@@ -153,11 +152,11 @@ def _run_new(campaign, jobs) -> tuple[float, dict]:
         job_timeout=None,
         retry_backoff=0.0,
         chunk_target_ms=DEFAULT_CHUNK_TARGET_MS,
-        record_batch=record_batch,
+        record=record,
         quarantine=lambda job, reason: None,
         say=lambda line: None,
     )
-    assert leftover is None
+    assert not stats.fell_back_inline
     return time.perf_counter() - started, out
 
 
@@ -241,9 +240,7 @@ def test_dispatch_throughput():
             "jobs": len(jobs),
             "distinct_kernels": len({j.kernel_digest for j in jobs}),
             "workers": WORKERS,
-            "oracle_chunk": resolve_chunk_size(
-                None, n_jobs=len(jobs), workers=WORKERS
-            ),
+            "oracle_chunk": _oracle_chunk(len(jobs)),
             "runs": RUNS,
         },
         "oracle": {

@@ -24,7 +24,7 @@ def _ram_load_kernel(creator: MicroCreator):
 
 def _grid(
     name, kernel, base, axes, *, machine,
-    jobs=1, chunk_size=None, chunk_policy="auto", chunk_target_ms=None,
+    jobs=1, chunk_target_ms=None,
     cache_dir=None, resume=True,
     max_retries=2, job_timeout=None, gen_cache_dir=None,
     store_format="sharded",
@@ -38,8 +38,6 @@ def _grid(
     return run_campaign(
         campaign,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -55,8 +53,6 @@ def ablation_aggregator(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -88,8 +84,6 @@ def ablation_aggregator(
         {"aggregator": ("min", "median", "mean")},
         machine=machine,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -120,8 +114,6 @@ def ablation_aggregator(
 def ablation_warmup(
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -152,8 +144,6 @@ def ablation_warmup(
         {"warmup": (True, False)},
         machine=machine,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -184,8 +174,6 @@ def ablation_warmup(
 def ablation_overhead(
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -217,8 +205,6 @@ def ablation_overhead(
         {"trip_count": trips, "subtract_overhead": (True, False)},
         machine=machine,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -259,8 +245,6 @@ def ablation_overhead(
 def ablation_inner_reps(
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -291,8 +275,6 @@ def ablation_inner_reps(
         {"repetitions": (1, 4, 16, 64, 256)},
         machine=machine,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,

@@ -26,8 +26,6 @@ def fig14(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -58,8 +56,6 @@ def fig14(
     run = run_campaign(
         Campaign(name="fig14_forked", machine=machine, sweeps=(sweep,)),
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -165,8 +161,6 @@ def _seq_omp_rows(
     machine,
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -188,8 +182,6 @@ def _seq_omp_rows(
     run = run_campaign(
         Campaign(name=name, machine=machine, sweeps=sweeps),
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -210,8 +202,6 @@ def _openmp_vs_sequential(
     *,
     quick: bool,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -242,8 +232,6 @@ def _openmp_vs_sequential(
         options,
         machine,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -290,8 +278,6 @@ def fig17(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -305,8 +291,6 @@ def fig17(
     series, notes = _openmp_vs_sequential(
         128 * 1024, quick=quick,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -333,8 +317,6 @@ def fig18(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -352,8 +334,6 @@ def fig18(
     series, notes = _openmp_vs_sequential(
         6_000_000, quick=quick,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -380,8 +360,6 @@ def table2(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -421,8 +399,6 @@ def table2(
         options,
         machine,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,

@@ -20,8 +20,6 @@ def _unroll_hierarchy(
     *,
     quick: bool,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -67,8 +65,6 @@ def _unroll_hierarchy(
     run = run_campaign(
         Campaign(name=f"unroll_hierarchy_{opcode}", machine=machine, sweeps=sweeps),
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -123,8 +119,6 @@ def fig11(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -141,8 +135,6 @@ def fig11(
         "movaps",
         quick=quick,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -162,8 +154,6 @@ def fig12(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -186,8 +176,6 @@ def fig12(
         "movss",
         quick=quick,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
@@ -207,8 +195,6 @@ def fig13(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
@@ -254,8 +240,6 @@ def fig13(
     run = run_campaign(
         Campaign(name="fig13_dvfs", machine=machine, sweeps=sweeps),
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,

@@ -83,19 +83,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=1, metavar="N", help="worker processes"
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="K",
-        help="jobs per worker batch (default: auto)",
-    )
-    parser.add_argument(
-        "--chunk-policy",
-        choices=("auto", "static", "dynamic"),
-        default="auto",
-        help="chunk sizing: 'dynamic' re-sizes from measured per-job "
-        "durations; 'static' uses fixed --chunk-size batches",
-    )
-    parser.add_argument(
         "--chunk-target-ms", type=float, default=None, metavar="MS",
-        help="wall-time each dynamic chunk aims for (default: 250)",
+        help="wall-time each chunk aims for (default: 250)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -202,8 +191,6 @@ def _characterize(args, machine):
         opcodes=opcodes,
         options=options,
         jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        chunk_policy=args.chunk_policy,
         chunk_target_ms=args.chunk_target_ms,
         cache_dir=args.cache_dir,
         resume=args.resume,

@@ -84,8 +84,6 @@ def run_characterization(
     opcodes: tuple[str, ...] | None = None,
     options: LauncherOptions | None = None,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: str | None = None,
     resume: bool = True,
@@ -109,8 +107,6 @@ def run_characterization(
     run = run_campaign(
         campaign,
         jobs=jobs,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,

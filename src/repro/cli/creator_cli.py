@@ -132,26 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --measure: worker processes (default: 1, inline)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="with --measure --jobs: jobs per worker batch (default: auto)",
-    )
-    parser.add_argument(
-        "--chunk-policy",
-        choices=("auto", "static", "dynamic"),
-        default="auto",
-        help="with --measure --jobs: chunk sizing ('dynamic' re-sizes "
-        "from measured per-job durations, 'static' uses fixed "
-        "--chunk-size batches); results are byte-identical either way",
-    )
-    parser.add_argument(
         "--chunk-target-ms",
         type=float,
         default=None,
         metavar="MS",
-        help="wall-time each dynamic chunk aims for (default: 250)",
+        help="with --measure: wall-time each chunk aims for (default: 250); "
+        "results are byte-identical for every target",
     )
     parser.add_argument(
         "--cache-dir",
@@ -350,8 +336,6 @@ def _measure(args, creator: MicroCreator, spec) -> int:
     run = run_campaign(
         campaign,
         jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        chunk_policy=args.chunk_policy,
         chunk_target_ms=args.chunk_target_ms,
         cache_dir=args.cache_dir,
         resume=args.resume,

@@ -144,29 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for campaign execution (default: 1, inline)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="jobs per worker batch with --jobs (default: auto-sized); "
-        "results are byte-identical for every chunking",
-    )
-    parser.add_argument(
-        "--chunk-policy",
-        choices=("auto", "static", "dynamic"),
-        default="auto",
-        help="how worker chunks are sized with --jobs: 'dynamic' "
-        "(the 'auto' default) seeds small and re-sizes from measured "
-        "per-job durations to hit --chunk-target-ms per chunk; "
-        "'static' uses fixed --chunk-size batches; results are "
-        "byte-identical for every policy",
-    )
-    parser.add_argument(
         "--chunk-target-ms",
         type=float,
         default=None,
         metavar="MS",
-        help="wall-time each dynamic chunk aims for (default: 250)",
+        help="wall-time each chunk of jobs aims for (default: 250); "
+        "results are byte-identical for every target",
     )
     parser.add_argument(
         "--cache-dir",
@@ -283,8 +266,6 @@ def _run_engine(args, machine, options, path: Path) -> int:
     run = run_campaign(
         campaign,
         jobs=args.jobs,
-        chunk_size=args.chunk_size,
-        chunk_policy=args.chunk_policy,
         chunk_target_ms=args.chunk_target_ms,
         cache_dir=args.cache_dir,
         resume=args.resume,
@@ -385,8 +366,6 @@ def _observed_main(args) -> int:
                 args.exhibit,
                 quick=args.quick,
                 jobs=args.jobs,
-                chunk_size=args.chunk_size,
-                chunk_policy=args.chunk_policy,
                 chunk_target_ms=args.chunk_target_ms,
                 cache_dir=args.cache_dir,
                 resume=args.resume,

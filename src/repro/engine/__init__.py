@@ -17,16 +17,16 @@ This package turns that workflow into a first-class pipeline:
 - :mod:`repro.engine.generation` -- deferred generation
   (:class:`KernelRef`): spec-backed jobs ship a reference and workers
   regenerate their slice locally, memoized per process,
-- :mod:`repro.engine.runner` -- a fault-tolerant scheduler over the
-  persistent worker pool (``jobs=1`` runs inline) whose per-job derived
-  noise seeds make results bit-identical regardless of worker count,
-  chunk policy, or scheduling order; failing jobs are retried with
-  backoff, hung chunks time out, crashed workers' jobs are
-  re-dispatched, and a persistently bad job is quarantined into
-  :class:`JobFailure` entries instead of killing the run,
-- :mod:`repro.engine.pool` -- the persistent worker runtime itself:
-  long-lived worker processes reused across ``run_campaign`` calls,
-  epoch-tokened kill+rebuild, per-worker pipes,
+- :mod:`repro.engine.runner` -- one fault-tolerant dispatch loop over
+  the persistent worker pool or, for ``jobs=1``, the in-process
+  executor; per-job derived noise seeds make results bit-identical
+  regardless of worker count, chunking, or scheduling order; failing
+  jobs are retried with backoff, hung chunks time out, crashed workers'
+  jobs are re-dispatched, and a persistently bad job is quarantined
+  into :class:`JobFailure` entries instead of killing the run,
+- :mod:`repro.engine.pool` -- the executors: long-lived worker
+  processes reused across ``run_campaign`` calls (epoch-tokened
+  kill+rebuild, per-worker pipes) and the in-process executor,
 - :mod:`repro.engine.transport` -- the packed binary result frames the
   workers answer with (schema-versioned; cycles arrays travel as one
   contiguous float64 buffer),
@@ -71,15 +71,7 @@ from repro.engine.pool import (
     get_worker_pool,
     shutdown_worker_pool,
 )
-from repro.engine.runner import (
-    CHUNK_POLICIES,
-    CampaignRun,
-    JobFailure,
-    JobTimeout,
-    RunStats,
-    resolve_chunk_policy,
-    run_campaign,
-)
+from repro.engine.runner import CampaignRun, JobFailure, RunStats, run_campaign
 from repro.engine.transport import pack_chunk, unpack_chunk
 from repro.engine.serialize import (
     measurement_from_dict,
@@ -97,7 +89,6 @@ from repro.engine.store import (
 )
 
 __all__ = [
-    "CHUNK_POLICIES",
     "CachedVariant",
     "Campaign",
     "CampaignRun",
@@ -108,7 +99,6 @@ __all__ = [
     "InjectedFault",
     "Job",
     "JobFailure",
-    "JobTimeout",
     "KernelRef",
     "ResultCache",
     "RunStats",
@@ -132,7 +122,6 @@ __all__ = [
     "options_digest",
     "options_to_dict",
     "pack_chunk",
-    "resolve_chunk_policy",
     "run_campaign",
     "shutdown_worker_pool",
     "spec_digest",

@@ -25,6 +25,13 @@ epoch, so any straggler message from a previous generation — e.g. a
 result buffered in a pipe the scheduler abandoned — is recognizably
 stale and dropped instead of being credited to the wrong dispatch.
 
+:class:`InProcessExecutor` is the same dispatch surface with one
+worker that is the caller itself, so ``jobs=1`` runs through the very
+loop that drives the pool.  It answers with decoded records instead of
+packed frames, and obeys the same stale-epoch rule: with a deadline it
+runs each chunk on a daemon thread, and a rebuild abandons that thread
+and drops its late reply.
+
 The scheduler's failure semantics (deadlines, chunk splitting,
 quarantine, inline degradation) live in ``runner.py``; this module only
 supplies the mechanics plus the ``engine.pool.spawn`` /
@@ -37,6 +44,8 @@ import atexit
 import multiprocessing
 import multiprocessing.connection
 import pickle
+import queue
+import threading
 import time
 
 from repro import obs
@@ -53,15 +62,15 @@ class PoolUnusable(Exception):
 def _worker_main(conn, epoch: int) -> None:
     """Worker loop: receive a chunk, run it, answer with one frame.
 
-    Per-job wall-clock is measured here — the only place it is
-    observable — and travels inside the packed frame.  Failures inside a
+    The chunk runs through :func:`repro.engine.runner.run_chunk`, the
+    same function the in-process executor calls, and its per-job
+    wall-clock travels inside the packed frame.  Failures inside a
     chunk are formatted worker-side into the same reason strings the
-    scheduler produces for inline execution, so quarantine reasons are
-    identical whichever side caught the exception.
+    in-process executor produces, so quarantine reasons are identical
+    whichever side caught the exception.
     """
-    from repro.engine.runner import _failure_reason, _run_job
+    from repro.engine.runner import _failure_reason, run_chunk
     from repro.engine.transport import pack_chunk
-    from repro.launcher.launcher import MicroLauncher
 
     while True:
         try:
@@ -73,13 +82,8 @@ def _worker_main(conn, epoch: int) -> None:
         task_id, blob = message
         try:
             machine, jobs, faults, attempts = pickle.loads(blob)
-            launcher = MicroLauncher(machine)
-            records = []
-            for job in jobs:
-                started = time.perf_counter()
-                dicts = _run_job(launcher, job, faults, attempts.get(job.job_id, 0))
-                records.append((job.job_id, dicts, time.perf_counter() - started))
-            reply = ("ok", epoch, task_id, pack_chunk(records))
+            frame = pack_chunk(run_chunk(machine, jobs, faults, attempts))
+            reply = ("ok", epoch, task_id, frame)
         except Exception as exc:  # noqa: BLE001 - relayed as a chunk failure
             reply = ("error", epoch, task_id, _failure_reason(exc))
         try:
@@ -204,11 +208,6 @@ class WorkerPool:
 
     # -- dispatch -----------------------------------------------------
 
-    def has_idle(self) -> bool:
-        return any(
-            m.task_id is None and m.process.is_alive() for m in self._members
-        )
-
     def submit(
         self, machine, jobs, faults, attempts: dict[str, int]
     ) -> int | None:
@@ -283,6 +282,85 @@ class WorkerPool:
             member.task_id = None
             events.append((kind, worker_id, task_id, body))
         return events
+
+
+class InProcessExecutor:
+    """A one-worker executor that runs chunks in the calling process.
+
+    Offers the dispatch surface the scheduler uses from
+    :class:`WorkerPool` (``workers``, ``submit``, ``poll``,
+    ``dead_worker_ids``, ``task_of``, ``rebuild``).  Without a deadline
+    the chunk runs synchronously inside :meth:`submit`, on the caller's
+    thread, so its ``engine.job`` spans nest under the scheduler's.
+    With ``job_timeout`` it runs on a daemon thread instead: a missed
+    deadline makes the scheduler call :meth:`rebuild`, whose epoch bump
+    abandons the thread and drops its late reply.
+
+    Replies are ``("records", epoch, task_id, [(job_id, payload, ms)])``
+    — already decoded, never packed — or ``("error", ...)`` with the
+    same reason strings a pool worker sends.
+    """
+
+    workers = 1
+
+    def __init__(self, job_timeout: float | None = None) -> None:
+        self.job_timeout = job_timeout
+        self.epoch = 0
+        self._next_task_id = 0
+        self._task_id: int | None = None
+        self._replies: queue.SimpleQueue = queue.SimpleQueue()
+
+    def dead_worker_ids(self) -> list[int]:
+        return []  # the caller's thread cannot die without the scheduler
+
+    def task_of(self, worker_id: int) -> int | None:
+        return self._task_id
+
+    def rebuild(self) -> None:
+        """Abandon the in-flight chunk: its reply will be stale."""
+        self.epoch += 1
+        self._task_id = None
+
+    def submit(
+        self, machine, jobs, faults, attempts: dict[str, int]
+    ) -> int | None:
+        if self._task_id is not None:
+            return None
+        task_id = self._task_id = self._next_task_id
+        self._next_task_id += 1
+        args = (self.epoch, task_id, machine, jobs, faults, attempts)
+        if self.job_timeout is None:
+            self._run(*args)
+        else:
+            threading.Thread(target=self._run, args=args, daemon=True).start()
+        return task_id
+
+    def _run(self, epoch, task_id, machine, jobs, faults, attempts) -> None:
+        from repro.engine.runner import _failure_reason, run_chunk
+
+        try:
+            records = [
+                (job_id, dicts, seconds * 1e3)
+                for job_id, dicts, seconds in run_chunk(
+                    machine, jobs, faults, attempts
+                )
+            ]
+            reply = ("records", epoch, task_id, records)
+        except Exception as exc:  # noqa: BLE001 - relayed as a chunk failure
+            reply = ("error", epoch, task_id, _failure_reason(exc))
+        self._replies.put(reply)
+
+    def poll(self, timeout: float) -> list[tuple[str, int, int, object]]:
+        """The finished chunk, if any: ``(kind, 0, task_id, body)``."""
+        try:
+            kind, epoch, task_id, body = self._replies.get(timeout=timeout)
+        except queue.Empty:
+            return []
+        if epoch != self.epoch:
+            obs.count("engine.pool.stale_dropped")
+            return []
+        self._task_id = None
+        return [(kind, 0, task_id, body)]
 
 
 #: The process-wide pool, shared by consecutive campaigns.

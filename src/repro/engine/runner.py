@@ -1,31 +1,33 @@
-"""The campaign scheduler: cache partition -> worker pool -> ordered rows.
+"""The campaign scheduler: cache partition -> one dispatch loop -> ordered rows.
 
 ``run_campaign`` expands a campaign, answers what it can from the result
-cache, executes the remaining jobs — inline for ``jobs=1``, on the
-persistent worker runtime of :mod:`repro.engine.pool` otherwise — and
-assembles results in campaign order.  Determinism is structural, not
-scheduled: each job's noise seed derives from its content hash (see
-:meth:`Job.execution_options`), and rows are ordered by job index, so
-worker count, chunking policy, and completion order cannot change a
-single output byte.
+cache, executes the remaining jobs and assembles results in campaign
+order.  Determinism is structural, not scheduled: each job's noise seed
+derives from its content hash (see :meth:`Job.execution_options`), and
+rows are ordered by job index, so worker count, chunk boundaries, and
+completion order cannot change a single output byte.
 
-Parallel jobs ship to workers in *chunks*: one launcher and one packed
-result frame (:mod:`repro.engine.transport`) per chunk instead of per
-job, with a per-worker memo so option sweeps over one kernel normalize
-and model it once.  Workers outlive the campaign — consecutive
-``run_campaign`` calls reuse the same pool, so those memos stay warm
-across campaigns.  Chunk sizing is policy-driven (``chunk_policy``):
-``"static"`` slices fixed batches as before, while ``"dynamic"`` (the
-default when no explicit ``chunk_size`` is given) seeds small chunks
-and then sizes each next chunk from an EWMA of observed per-job
-durations per spec family, targeting ``chunk_target_ms`` of wall time —
-adaptive-stopping campaigns whose per-job cost varies >10x keep every
-worker busy to the tail instead of straggling on static batches.
+There is one scheduler, :func:`_dispatch`, and it drives one of two
+executors with the same submit/poll surface: the persistent worker pool
+of :mod:`repro.engine.pool` for ``jobs > 1``, or the in-process executor
+for ``jobs=1`` (and for a pool that proves unusable mid-run).  Both run
+a chunk through :func:`run_chunk`: one launcher per chunk, with a
+per-process memo so option sweeps over one kernel normalize and model
+it once.  Pool workers answer with packed frames
+(:mod:`repro.engine.transport`) and outlive the campaign, so their
+memos stay warm across ``run_campaign`` calls.
+
+Chunks are sized dynamically: the first chunks of each spec family are
+small, and each next one is sized from an EWMA of observed per-job
+durations to occupy a worker for ``chunk_target_ms`` — adaptive-stopping
+campaigns whose per-job cost varies >10x keep every worker busy to the
+tail.  Results are recorded, and become durable in the store, once per
+chunk.
 
 The scheduler is fault-tolerant: a raising job is retried with
 exponential backoff up to ``max_retries`` times, a chunk that exceeds
-its deadline (``job_timeout`` seconds per job) has its pool replaced, a
-crashed worker's chunks are re-dispatched — split in half to isolate
+its deadline (``job_timeout`` seconds per job) has its executor rebuilt,
+a crashed worker's chunks are re-dispatched — split in half to isolate
 the poisoned job — and a job that keeps failing is *quarantined*: the
 campaign completes with N-1 rows and an explicit
 :class:`JobFailure` entry in :attr:`CampaignRun.failures` instead of
@@ -33,11 +35,12 @@ dying.  All of it is drivable deterministically through
 :class:`~repro.engine.faults.FaultPlan`.
 
 When observability is on (:func:`repro.obs.enable`), the scheduler
-accounts for itself: spans for expansion, the cache scan, dispatch, and
-every chunk/job, plus counters and histograms under ``engine.*`` (cache
-hits/misses/puts, retries, timeouts, quarantines, job durations).  The
-final :attr:`RunStats.metrics` snapshot carries them back to the caller.
-Everything costs one global check when disabled.
+accounts for itself: spans for expansion, the cache scan, dispatch,
+every pool chunk and every in-process job, plus counters and histograms
+under ``engine.*`` (cache hits/misses/puts, retries, timeouts,
+quarantines, job durations).  The final :attr:`RunStats.metrics`
+snapshot carries them back to the caller.  Everything costs one global
+check when disabled.
 """
 
 from __future__ import annotations
@@ -45,10 +48,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
 import time
 from collections import defaultdict, deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -59,12 +60,15 @@ from repro.engine.campaign import Campaign, Job
 from repro.engine.faults import FaultPlan
 from repro.engine.gencache import GenerationCache
 from repro.engine.generation import KernelRef, resolve_kernel_ref
-from repro.engine.pool import PoolUnusable, get_worker_pool, shutdown_worker_pool
-from repro.engine.transport import TransportError, unpack_chunk
-from repro.engine.serialize import (
-    measurement_to_dict,
-    measurements_from_payload,
+from repro.engine.pool import (
+    InProcessExecutor,
+    PoolUnusable,
+    WorkerPool,
+    get_worker_pool,
+    shutdown_worker_pool,
 )
+from repro.engine.transport import TransportError, unpack_chunk
+from repro.engine.serialize import measurement_to_dict, measurements_from_payload
 from repro.engine.store import (
     ShardedGenerationCache,
     ShardedResultCache,
@@ -100,10 +104,6 @@ def _memo_capacity(env_var: str, default: int) -> int:
     except ValueError:
         return default
 
-#: Chunk-size ceiling: keeps result recording (and cache writes) granular
-#: enough to survive interruption without losing much work.
-_MAX_AUTO_CHUNK = 32
-
 #: How often the dispatcher wakes to check deadlines and refill workers.
 _POLL_SECONDS = 0.05
 
@@ -114,10 +114,6 @@ _CHUNK_TIMEOUT_SLACK = 0.25
 #: Consecutive pool breakages (with no chunk ever completing) after which
 #: the pool is declared unusable and the run falls back inline.
 _MAX_POOL_BREAKS_BEFORE_INLINE = 3
-
-#: Recognized ``chunk_policy`` values: ``auto`` resolves to ``static``
-#: when an explicit ``chunk_size`` is given, else ``dynamic``.
-CHUNK_POLICIES = ("auto", "static", "dynamic")
 
 #: Dynamic chunking: wall-clock a chunk should occupy a worker for.
 #: Large enough to amortize the queue round-trip, small enough that the
@@ -197,45 +193,38 @@ def _run_job(
     return [measurement_to_dict(m) for m in measurements]
 
 
-def _execute_chunk(
+def run_chunk(
     machine: MachineConfig,
     jobs: list[Job],
     faults: FaultPlan | None = None,
     attempts: dict[str, int] | None = None,
-) -> list[tuple[str, list[dict]]]:
-    """Run a batch of jobs on one launcher (worker-side entry point)."""
+) -> list[tuple[str, list[dict], float]]:
+    """Run a batch of jobs on one launcher: ``(job_id, payload, seconds)``.
+
+    The one chunk body: pool workers and the in-process executor both
+    call it, so where a job runs cannot change what it measures.  Any
+    exception fails the whole chunk; the scheduler splits it to find the
+    culprit.  Each job gets an ``engine.job`` span, which is where its
+    launcher spans nest when the chunk runs in the tracing process.
+    """
     from repro.launcher.launcher import MicroLauncher
 
     launcher = MicroLauncher(machine)
     attempts = attempts or {}
-    return [
-        (job.job_id, _run_job(launcher, job, faults, attempts.get(job.job_id, 0)))
-        for job in jobs
-    ]
-
-
-def _execute_job(machine: MachineConfig, job: Job) -> tuple[str, list[dict]]:
-    """Run one job against a fresh launcher (a chunk of one)."""
-    return _execute_chunk(machine, [job])[0]
-
-
-def resolve_chunk_size(chunk_size: int | None, n_jobs: int, workers: int) -> int:
-    """Jobs per worker batch; ``None`` auto-sizes for load balance.
-
-    The auto rule targets a few chunks per worker (so a slow chunk does
-    not straggle the pool) while capping the batch so cache writes stay
-    granular.
-    """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        return chunk_size
-    per_worker_share = -(-n_jobs // (max(1, workers) * 4))
-    return max(1, min(_MAX_AUTO_CHUNK, per_worker_share))
-
-
-class JobTimeout(RuntimeError):
-    """A job (or the chunk carrying it) exceeded its time budget."""
+    records = []
+    for job in jobs:
+        attempt = attempts.get(job.job_id, 0)
+        started = time.perf_counter()
+        with obs.span(
+            "engine.job",
+            metric="engine.job.duration_ms",
+            job=job.job_id,
+            kernel=job.kernel_name,
+            attempt=attempt,
+        ):
+            dicts = _run_job(launcher, job, faults, attempt)
+        records.append((job.job_id, dicts, time.perf_counter() - started))
+    return records
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,10 +248,6 @@ class JobFailure:
 
 
 def _failure_reason(exc: BaseException) -> str:
-    if isinstance(exc, JobTimeout):
-        return "timeout"
-    if isinstance(exc, BrokenProcessPool):
-        return "worker-crash"
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -277,10 +262,10 @@ def _count_stopping(dicts: list[dict]) -> None:
     """Scheduler-side stopping metrics for pool-executed adaptive jobs.
 
     The measurement core emits ``stopping.*`` in its own process; a pool
-    worker's registry dies with the pool (the same reason per-job
-    durations are attributed scheduler-side), so re-derive the counters
-    from the returned payload.  Inline runs never pass through here and
-    keep the in-process emission — totals match either way.
+    worker's registry dies with the worker, so re-derive the counters
+    from payloads decoded out of pool frames.  In-process chunks never
+    pass through here and keep the measurement core's own emission —
+    totals match either way.
     """
     for d in dicts:
         if d.get("rciw") is None:
@@ -303,9 +288,8 @@ class RunStats:
     executed: int = 0
     cache_hits: int = 0
     workers: int = 1
-    chunk_size: int = 1
-    #: Resolved chunk-sizing policy: ``static`` or ``dynamic``.
-    chunk_policy: str = "static"
+    #: Chunks handed to an executor, re-dispatches and splits included.
+    chunks: int = 0
     fell_back_inline: bool = False
     #: Re-dispatches of a single job after a failed attempt.
     retries: int = 0
@@ -336,7 +320,7 @@ class RunStats:
         return (
             f"RunStats(total_jobs={self.total_jobs}, executed={self.executed}, "
             f"cache_hits={self.cache_hits} ({rate}), workers={self.workers}, "
-            f"chunk_size={self.chunk_size}{extras})"
+            f"chunks={self.chunks}{extras})"
         )
 
 
@@ -411,39 +395,6 @@ class CampaignRun:
         return path
 
 
-def _run_job_bounded(
-    launcher,
-    job: Job,
-    faults: FaultPlan | None,
-    attempt: int,
-    job_timeout: float | None,
-) -> list[dict]:
-    """Inline execution with an optional wall-clock bound.
-
-    With a timeout, the job runs on a daemon thread so a hung job cannot
-    wedge the campaign; the abandoned thread dies with the process.
-    """
-    if job_timeout is None:
-        return _run_job(launcher, job, faults, attempt)
-    box: list[list[dict]] = []
-    error: list[BaseException] = []
-
-    def target() -> None:
-        try:
-            box.append(_run_job(launcher, job, faults, attempt))
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            error.append(exc)
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(job_timeout)
-    if thread.is_alive():
-        raise JobTimeout(f"job {job.job_id} exceeded {job_timeout:.3g}s")
-    if error:
-        raise error[0]
-    return box[0]
-
-
 @dataclass(slots=True)
 class _Unit:
     """One dispatchable batch of jobs, possibly delayed by backoff."""
@@ -458,62 +409,22 @@ def _gen_group(job: Job) -> tuple[str, str] | None:
     return kernel.memo_key() if isinstance(kernel, KernelRef) else None
 
 
-def _chunked_units(pending: list[Job], chunk_size: int) -> list[_Unit]:
-    """Slice pending jobs into dispatch units, never spanning two specs.
-
-    Deferred jobs regenerate their spec's expansion worker-side, so a
-    chunk mixing two specs would force one worker to run two pipelines.
-    Grouping consecutive jobs by expansion key before slicing keeps each
-    chunk inside one spec; campaign expansion order already keeps a
-    sweep's jobs contiguous.  Results are unaffected — chunk boundaries
-    never change a job's identity or seed.
-    """
-    return [
-        _Unit(batch[i : i + chunk_size])
-        for _key, group in itertools.groupby(pending, key=_gen_group)
-        for batch in (list(group),)
-        for i in range(0, len(batch), chunk_size)
-    ]
-
-
-def resolve_chunk_policy(chunk_policy: str, chunk_size: int | None) -> str:
-    """Resolve ``auto`` to a concrete policy and validate the rest."""
-    if chunk_policy not in CHUNK_POLICIES:
-        raise ValueError(
-            f"chunk_policy must be one of {CHUNK_POLICIES}, got {chunk_policy!r}"
-        )
-    if chunk_policy == "auto":
-        return "static" if chunk_size is not None else "dynamic"
-    return chunk_policy
-
-
 class _ChunkPlanner:
     """Carves pending jobs into dispatch units, sized by observed cost.
 
-    Chunks never span two spec families (same rule as
-    :func:`_chunked_units` — a deferred chunk regenerates its spec
-    worker-side, and mixing two specs would run two pipelines in one
-    worker).  Under the ``static`` policy every chunk is
-    ``chunk_size`` jobs, reproducing the pre-planner slicing exactly.
-    Under ``dynamic``, the first chunks of each family are
+    Chunks never span two spec families: a deferred chunk regenerates
+    its spec worker-side, and mixing two specs would run two pipelines
+    in one worker.  Campaign expansion already keeps a sweep's jobs
+    contiguous.  The first chunks of each family are
     ``_SEED_CHUNK_SIZE`` jobs; once per-job durations flow back from the
-    workers, each next chunk is sized so it should occupy a worker for
+    executor, each next chunk is sized so it should occupy a worker for
     ``target_ms`` — an EWMA per family, falling back to a campaign-wide
     EWMA for families not yet seen.  Sizing only changes how many jobs
-    share a launcher; job identity, seeds, and output bytes are
-    untouched.
+    share a launcher and a store write; job identity, seeds, and output
+    bytes are untouched.
     """
 
-    def __init__(
-        self,
-        pending: list[Job],
-        *,
-        policy: str,
-        chunk_size: int,
-        target_ms: float,
-    ) -> None:
-        self.policy = policy
-        self.chunk_size = chunk_size
+    def __init__(self, pending: list[Job], *, target_ms: float) -> None:
         self.target_ms = target_ms
         self._ewma: dict[object, float] = {}
         self._overall: float | None = None
@@ -537,8 +448,6 @@ class _ChunkPlanner:
         return _Unit(jobs)
 
     def _size_for(self, key: object) -> int:
-        if self.policy == "static":
-            return self.chunk_size
         per_job_ms = self._ewma.get(key, self._overall)
         if per_job_ms is None:
             return _SEED_CHUNK_SIZE
@@ -547,7 +456,7 @@ class _ChunkPlanner:
 
     def observe(self, key: object, durations_ms: list[float]) -> None:
         """Fold one completed chunk's per-job durations into the EWMA."""
-        if self.policy != "dynamic" or not durations_ms:
+        if not durations_ms:
             return
         mean = sum(durations_ms) / len(durations_ms)
         previous = self._ewma.get(key)
@@ -563,24 +472,7 @@ class _ChunkPlanner:
         )
 
 
-class _PoolUnusable(Exception):
-    """The process pool cannot be made to work; run inline instead."""
-
-
-def _shutdown_pool(pool, *, kill: bool = False) -> None:
-    """Tear down a pool, forcibly if its workers may be hung."""
-    if not kill:
-        pool.shutdown(wait=True, cancel_futures=True)
-        return
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already-dead worker
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _parallel_execute(
+def _dispatch(
     campaign: Campaign,
     pending: list[Job],
     *,
@@ -591,17 +483,19 @@ def _parallel_execute(
     job_timeout: float | None,
     retry_backoff: float,
     chunk_target_ms: float,
-    record_batch: Callable[[list[tuple[Job, list[dict]]]], list[bool]],
+    record: Callable[[list[tuple[Job, list[dict]]]], list[bool]],
     quarantine: Callable[[Job, str], None],
     say: Callable[[str], None],
-) -> list[Job] | None:
-    """Dispatch pending jobs on the persistent pool with full recovery.
+) -> None:
+    """Run every pending job to a recorded result or a quarantine.
 
-    Returns ``None`` when every pending job was recorded or quarantined,
-    or the unfinished jobs when no pool can be made to work (the caller
-    runs those inline).  Recovery rules:
+    The one dispatch loop.  It drives the persistent worker pool when
+    ``stats.workers > 1`` and the in-process executor otherwise; a pool
+    that proves unusable is swapped for the in-process executor without
+    leaving the loop, so the work queue, the planner and every job's
+    attempt count carry over.  Recovery rules:
 
-    - a chunk whose worker raised is *split in half* and re-dispatched,
+    - a chunk that raised is *split in half* and re-dispatched,
       isolating the poisoned job in O(log chunk) rounds without charging
       an attempt to jobs that cannot be blamed individually;
     - a single failing job is retried with exponential backoff, then
@@ -611,23 +505,20 @@ def _parallel_execute(
       re-dispatched without being charged an attempt, and any straggler
       message from the old generation is dropped by its stale epoch;
     - with ``job_timeout``, a chunk gets ``job_timeout * len(chunk)``
-      seconds from dispatch; past that the pool (which still holds the
-      hung worker) is killed and rebuilt the same way.
+      seconds from dispatch; past that its executor (which still holds
+      the hung chunk) is rebuilt the same way.
     """
-    handled: set[str] = set()
     #: Retry/split re-dispatches; fresh chunks are carved on demand so
-    #: dynamic sizing uses the newest duration estimates.
+    #: chunk sizing uses the newest duration estimates.
     work: deque[_Unit] = deque()
-    planner = _ChunkPlanner(
-        pending,
-        policy=stats.chunk_policy,
-        chunk_size=stats.chunk_size,
-        target_ms=chunk_target_ms,
-    )
-    say(
-        f"{campaign.name}: dispatching {len(pending)} jobs to "
-        f"{stats.workers} persistent workers ({stats.chunk_policy} chunks)"
-    )
+    planner = _ChunkPlanner(pending, target_ms=chunk_target_ms)
+    # task_id -> (unit, deadline, perf_counter submit time); submit time
+    # feeds the per-chunk trace spans.  Submission is windowed to the
+    # worker count, so submission time ~= start time, which is what
+    # makes the per-chunk deadline meaningful.
+    in_flight: dict[int, tuple[_Unit, float | None, float]] = {}
+    ever_succeeded = False
+    consecutive_breaks = 0
 
     def fail_unit(unit: _Unit, reason: str) -> None:
         if len(unit.jobs) > 1:
@@ -640,20 +531,11 @@ def _parallel_execute(
         attempts[job.job_id] += 1
         if attempts[job.job_id] > max_retries:
             quarantine(job, reason)
-            handled.add(job.job_id)
             return
         stats.retries += 1
         obs.count("engine.job.retries")
         backoff = retry_backoff * (2 ** (attempts[job.job_id] - 1))
         work.append(_Unit(unit.jobs, not_before=time.monotonic() + backoff))
-
-    # task_id -> (unit, deadline, perf_counter submit time); submit time
-    # feeds the per-chunk trace spans.  Submission is windowed to the
-    # worker count, so submission time ~= start time, which is what
-    # makes the per-chunk deadline meaningful.
-    in_flight: dict[int, tuple[_Unit, float | None, float]] = {}
-    ever_succeeded = False
-    consecutive_breaks = 0
 
     def requeue_innocents() -> None:
         """Re-dispatch in-flight chunks that cannot be blamed, free."""
@@ -661,241 +543,180 @@ def _parallel_execute(
             work.append(_Unit(unit.jobs))
         in_flight.clear()
 
-    def rebuild(reason: str) -> None:
-        try:
-            pool.rebuild()
-        except PoolUnusable as exc:
-            raise _PoolUnusable from exc
-        say(f"{campaign.name}: {reason}")
+    def chunk_span(unit: _Unit, submitted: float, outcome: str) -> None:
+        # Pool chunks only: an in-process chunk is already covered by
+        # the engine.job spans it emitted itself.
+        if isinstance(executor, WorkerPool):
+            obs.add_span(
+                "engine.chunk",
+                submitted,
+                time.perf_counter() - submitted,
+                jobs=len(unit.jobs),
+                outcome=outcome,
+            )
 
-    try:
-        try:
-            pool = get_worker_pool(stats.workers)
-        except PoolUnusable as exc:
-            raise _PoolUnusable from exc
-        while work or in_flight or not planner.exhausted():
-            # Submit ready units up to worker capacity.  Backed-off
-            # units are set aside in one pass (no per-unit rotation);
-            # fresh chunks are carved only when a slot is actually free.
-            now = time.monotonic()
-            waiting: list[_Unit] = []
-            while len(in_flight) < stats.workers:
-                unit = None
-                while work:
-                    candidate = work.popleft()
-                    if candidate.not_before > now:
-                        waiting.append(candidate)
-                    else:
-                        unit = candidate
-                        break
-                if unit is None:
-                    unit = planner.carve()
-                if unit is None:
-                    break
-                snapshot = {j.job_id: attempts[j.job_id] for j in unit.jobs}
-                try:
-                    task_id = pool.submit(
-                        campaign.machine, unit.jobs, faults, snapshot
-                    )
-                except (OSError, PermissionError) as exc:
-                    work.appendleft(unit)
-                    raise _PoolUnusable from exc
-                except Exception as exc:  # unpicklable chunk: charge it
-                    fail_unit(unit, _failure_reason(exc))
-                    continue
-                if task_id is None:  # no idle worker (one may be dead)
-                    work.appendleft(unit)
-                    break
-                deadline = (
-                    None
-                    if job_timeout is None
-                    else time.monotonic()
-                    + job_timeout * len(unit.jobs)
-                    + _CHUNK_TIMEOUT_SLACK
-                )
-                in_flight[task_id] = (unit, deadline, time.perf_counter())
-            if waiting:
-                work.extendleft(reversed(waiting))
-            if not in_flight:
-                # Everything is backing off: sleep until the earliest
-                # unit becomes dispatchable.
-                delay = max(
-                    0.0, min(u.not_before for u in work) - time.monotonic()
-                )
-                time.sleep(min(delay, _POLL_SECONDS) or _POLL_SECONDS / 10)
-                continue
-            for kind, _worker_id, task_id, body in pool.poll(_POLL_SECONDS):
-                entry = in_flight.pop(task_id, None)
-                if entry is None:  # pragma: no cover - defensive
-                    continue
-                unit, _deadline, submitted = entry
-                chunk_s = time.perf_counter() - submitted
-                if kind == "error":
-                    obs.add_span(
-                        "engine.chunk", submitted, chunk_s,
-                        jobs=len(unit.jobs), outcome=body,
-                    )
-                    fail_unit(unit, body)
-                    continue
-                try:
-                    outputs = unpack_chunk(body)
-                except TransportError as exc:
-                    obs.add_span(
-                        "engine.chunk", submitted, chunk_s,
-                        jobs=len(unit.jobs), outcome=_failure_reason(exc),
-                    )
-                    fail_unit(unit, _failure_reason(exc))
-                    continue
-                ever_succeeded = True
-                consecutive_breaks = 0
-                obs.add_span(
-                    "engine.chunk", submitted, chunk_s,
-                    jobs=len(unit.jobs), outcome="ok",
-                )
-                # Real per-job wall clock, measured worker-side and
-                # carried in the packed frame — both the duration
-                # histogram and the chunk planner's EWMA see actual
-                # job cost, not an even split of chunk time.
-                planner.observe(
-                    _gen_group(unit.jobs[0]),
-                    [duration_ms for _, _, duration_ms in outputs],
-                )
-                if obs.is_enabled():
-                    for _job_id, _dicts, duration_ms in outputs:
-                        obs.observe("engine.job.duration_ms", duration_ms)
-                by_id = {job.job_id: job for job in unit.jobs}
-                pairs = [
-                    (by_id[job_id], dicts) for job_id, dicts, _ in outputs
-                ]
-                for (job, dicts), ok in zip(pairs, record_batch(pairs)):
-                    if ok:
-                        handled.add(job.job_id)
-                        if obs.is_enabled():
-                            _count_stopping(dicts)
-                    else:
-                        fail_unit(_Unit([job]), "invalid-result")
-            dead = pool.dead_worker_ids()
-            if dead:
-                consecutive_breaks += 1
-                if (
-                    consecutive_breaks >= _MAX_POOL_BREAKS_BEFORE_INLINE
-                    and not ever_succeeded
-                ):
-                    raise _PoolUnusable
-                for worker_id in dead:
-                    # The parent assigned the task, so blame needs no
-                    # worker cooperation: a dead worker's task is
-                    # whatever the pool still shows assigned to it.
-                    task_id = pool.task_of(worker_id)
-                    entry = (
-                        in_flight.pop(task_id, None)
-                        if task_id is not None
-                        else None
-                    )
-                    if entry is None:
-                        continue
-                    unit, _deadline, submitted = entry
-                    obs.add_span(
-                        "engine.chunk",
-                        submitted,
-                        time.perf_counter() - submitted,
-                        jobs=len(unit.jobs),
-                        outcome="worker-crash",
-                    )
-                    fail_unit(unit, "worker-crash")
-                requeue_innocents()
-                rebuild("worker crashed; re-dispatching its jobs")
-                continue
-            if job_timeout is not None and in_flight:
-                now = time.monotonic()
-                expired = [
-                    task_id
-                    for task_id, (_unit, deadline, _submitted) in in_flight.items()
-                    if deadline is not None and now > deadline
-                ]
-                if expired:
-                    for task_id in expired:
-                        unit, _deadline, submitted = in_flight.pop(task_id)
-                        obs.add_span(
-                            "engine.chunk",
-                            submitted,
-                            time.perf_counter() - submitted,
-                            jobs=len(unit.jobs),
-                            outcome="timeout",
-                        )
-                        fail_unit(unit, "timeout")
-                    # The hung worker still owns a pool slot; rebuild
-                    # and re-dispatch the innocent in-flight chunks.
-                    requeue_innocents()
-                    rebuild(
-                        f"chunk exceeded its {job_timeout:.3g}s/job "
-                        "budget; rebuilding the pool"
-                    )
-    except _PoolUnusable:
+    def next_ready_unit() -> _Unit | None:
+        """The first retry/split unit past its backoff, else a fresh chunk."""
+        now = time.monotonic()
+        for index, unit in enumerate(work):
+            if unit.not_before <= now:
+                del work[index]
+                return unit
+        return planner.carve()
+
+    def run_inline() -> InProcessExecutor:
+        requeue_innocents()
         shutdown_worker_pool()
-        return [job for job in pending if job.job_id not in handled]
-    return None
+        stats.fell_back_inline = True
+        dispatch_span.set(mode="inline")
+        say(f"{campaign.name}: worker pool unavailable, running inline")
+        return InProcessExecutor(job_timeout)
 
-
-def _inline_execute(
-    campaign: Campaign,
-    pending: list[Job],
-    *,
-    stats: RunStats,
-    faults: FaultPlan | None,
-    attempts: dict[str, int],
-    max_retries: int,
-    job_timeout: float | None,
-    retry_backoff: float,
-    record: Callable[[Job, list[dict]], bool],
-    quarantine: Callable[[Job, str], None],
-) -> None:
-    """Run jobs in this process: one launcher, bounded retries per job.
-
-    Results are recorded as each job completes so an interrupted run
-    resumes from the cache.
-    """
-    from repro.launcher.launcher import MicroLauncher
-
-    launcher = MicroLauncher(campaign.machine)
-    for job in pending:
-        while True:
-            attempt = attempts[job.job_id]
+    def submit_ready() -> None:
+        """Hand ready units to the executor until every worker is busy."""
+        while len(in_flight) < executor.workers:
+            unit = next_ready_unit()
+            if unit is None:
+                return
+            snapshot = {j.job_id: attempts[j.job_id] for j in unit.jobs}
             try:
-                with obs.span(
-                    "engine.job",
-                    metric="engine.job.duration_ms",
-                    job=job.job_id,
-                    kernel=job.kernel_name,
-                    attempt=attempt,
-                ):
-                    dicts = _run_job_bounded(
-                        launcher, job, faults, attempt, job_timeout
-                    )
-            except Exception as exc:
-                reason = _failure_reason(exc)
-            else:
-                if record(job, dicts):
-                    break
-                reason = "invalid-result"
-            _count_failed_attempt(reason)
-            attempts[job.job_id] += 1
-            if attempts[job.job_id] > max_retries:
-                quarantine(job, reason)
-                break
-            stats.retries += 1
-            obs.count("engine.job.retries")
-            backoff = retry_backoff * (2 ** (attempts[job.job_id] - 1))
-            if backoff > 0:
-                time.sleep(backoff)
+                task_id = executor.submit(campaign.machine, unit.jobs, faults, snapshot)
+            except OSError as exc:
+                work.appendleft(unit)
+                raise PoolUnusable(str(exc)) from exc
+            except Exception as exc:  # unpicklable chunk: charge it
+                fail_unit(unit, _failure_reason(exc))
+                continue
+            if task_id is None:  # no idle worker (one may be dead)
+                work.appendleft(unit)
+                return
+            stats.chunks += 1
+            deadline = (
+                None
+                if job_timeout is None
+                else time.monotonic()
+                + job_timeout * len(unit.jobs)
+                + _CHUNK_TIMEOUT_SLACK
+            )
+            in_flight[task_id] = (unit, deadline, time.perf_counter())
+
+    def collect(kind: str, task_id: int, body: object) -> None:
+        """Record one finished chunk, or fail it."""
+        nonlocal ever_succeeded, consecutive_breaks
+        entry = in_flight.pop(task_id, None)
+        if entry is None:  # pragma: no cover - defensive
+            return
+        unit, _deadline, submitted = entry
+        if kind == "error":
+            chunk_span(unit, submitted, body)
+            fail_unit(unit, body)
+            return
+        if kind == "ok":  # a packed frame from a pool worker
+            try:
+                outputs = unpack_chunk(body)
+            except TransportError as exc:
+                chunk_span(unit, submitted, _failure_reason(exc))
+                fail_unit(unit, _failure_reason(exc))
+                return
+            chunk_span(unit, submitted, "ok")
+            # Real per-job wall clock, measured worker-side and carried
+            # in the frame.  In-process records were observed by their
+            # own engine.job spans.
+            if obs.is_enabled():
+                for _job_id, _dicts, duration_ms in outputs:
+                    obs.observe("engine.job.duration_ms", duration_ms)
+        else:  # "records": the in-process executor's, already decoded
+            outputs = body
+        ever_succeeded = True
+        consecutive_breaks = 0
+        planner.observe(
+            _gen_group(unit.jobs[0]), [duration_ms for _, _, duration_ms in outputs]
+        )
+        by_id = {job.job_id: job for job in unit.jobs}
+        pairs = [(by_id[job_id], dicts) for job_id, dicts, _ in outputs]
+        for (job, dicts), ok in zip(pairs, record(pairs)):
+            if not ok:
+                fail_unit(_Unit([job]), "invalid-result")
+            elif kind == "ok" and obs.is_enabled():
+                _count_stopping(dicts)
+
+    def reap() -> None:
+        """Fail chunks whose worker died or whose deadline passed."""
+        nonlocal consecutive_breaks
+        dead = executor.dead_worker_ids()
+        if dead:
+            consecutive_breaks += 1
+            if (
+                consecutive_breaks >= _MAX_POOL_BREAKS_BEFORE_INLINE
+                and not ever_succeeded
+            ):
+                raise PoolUnusable("workers keep dying")
+            for worker_id in dead:
+                # The parent assigned the task, so blame needs no worker
+                # cooperation: a dead worker's task is whatever the pool
+                # still shows assigned to it.
+                entry = in_flight.pop(executor.task_of(worker_id), None)
+                if entry is not None:
+                    unit, _deadline, submitted = entry
+                    chunk_span(unit, submitted, "worker-crash")
+                    fail_unit(unit, "worker-crash")
+            requeue_innocents()
+            executor.rebuild()
+            say(f"{campaign.name}: worker crashed; re-dispatching its jobs")
+            return
+        now = time.monotonic()
+        expired = [
+            task_id
+            for task_id, (_unit, deadline, _submitted) in in_flight.items()
+            if deadline is not None and now > deadline
+        ]
+        if expired:
+            for task_id in expired:
+                unit, _deadline, submitted = in_flight.pop(task_id)
+                chunk_span(unit, submitted, "timeout")
+                fail_unit(unit, "timeout")
+            # The hung chunk still owns its executor slot; rebuild and
+            # re-dispatch the innocent chunks.
+            requeue_innocents()
+            executor.rebuild()
+            say(
+                f"{campaign.name}: chunk exceeded its {job_timeout:.3g}s/job "
+                "budget; rebuilding its executor"
+            )
+
+    pooled = stats.workers > 1
+    with obs.span(
+        "engine.dispatch",
+        mode="pool" if pooled else "inline",
+        jobs=len(pending),
+        workers=stats.workers,
+    ) as dispatch_span:
+        executor: WorkerPool | InProcessExecutor = InProcessExecutor(job_timeout)
+        if pooled:
+            try:
+                executor = get_worker_pool(stats.workers)
+                say(
+                    f"{campaign.name}: dispatching {len(pending)} jobs to "
+                    f"{stats.workers} persistent workers"
+                )
+            except PoolUnusable:
+                executor = run_inline()
+        while work or in_flight or not planner.exhausted():
+            try:
+                submit_ready()
+                # With nothing in flight (every unit backing off), poll
+                # just sleeps one interval.
+                for kind, _worker_id, task_id, body in executor.poll(_POLL_SECONDS):
+                    collect(kind, task_id, body)
+                reap()
+            except PoolUnusable:
+                executor = run_inline()
 
 
 def run_campaign(
     campaign: Campaign,
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
-    chunk_policy: str = "auto",
     chunk_target_ms: float | None = None,
     cache_dir: str | Path | None = None,
     cache: "ResultCache | ShardedResultCache | None" = None,
@@ -907,7 +728,6 @@ def run_campaign(
     faults: FaultPlan | None = None,
     gen_cache_dir: str | Path | None = None,
     gen_cache: "GenerationCache | ShardedGenerationCache | None" = None,
-    generation: str = "auto",
     store_format: str = "sharded",
 ) -> CampaignRun:
     """Execute a campaign and return its ordered results.
@@ -915,26 +735,19 @@ def run_campaign(
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` runs every job inline in this process.
-        If the pool cannot start (restricted environments), the run
-        falls back inline — results are identical either way.
-    chunk_size:
-        Jobs shipped to a worker per submission (amortizes pickling and
-        launcher setup); ``None`` auto-sizes.  Output rows are
-        byte-identical for every chunking.
-    chunk_policy:
-        How chunks are sized: ``"static"`` slices fixed batches of
-        ``chunk_size`` jobs (auto-sized when ``chunk_size`` is
-        ``None``); ``"dynamic"`` seeds small chunks and then targets
-        ``chunk_target_ms`` of wall time per chunk from an EWMA of
-        observed per-job durations per spec family — straggler-resistant
-        when per-job cost varies (adaptive stopping).  ``"auto"`` (the
-        default) picks ``static`` when an explicit ``chunk_size`` is
-        given, else ``dynamic``.  Output bytes are identical under
-        every policy.
+        Worker processes; ``1`` runs every job in this process through
+        the in-process executor.  With ``jobs > 1`` spec-derived kernels
+        ship as :class:`KernelRef` descriptions and are regenerated in
+        the measuring process.  If the pool cannot start (restricted
+        environments), the same dispatch loop continues in-process —
+        results are identical either way.
     chunk_target_ms:
-        Dynamic chunking's wall-time target per chunk (default
-        ``DEFAULT_CHUNK_TARGET_MS``); ignored under ``static``.
+        Wall time each chunk aims for (default
+        ``DEFAULT_CHUNK_TARGET_MS``): chunks start at a few jobs and are
+        then sized from an EWMA of observed per-job durations per spec
+        family.  A chunk's results become durable in the store together,
+        so this also bounds the work an interruption can lose.  Output
+        bytes are identical for every target.
     cache_dir / cache:
         Reuse measurements across runs: jobs whose ID is already stored
         are not executed.  ``cache`` takes precedence over ``cache_dir``.
@@ -949,9 +762,10 @@ def run_campaign(
         Failed attempts a job may make beyond its first before it is
         quarantined (so every job gets ``max_retries + 1`` tries).
     job_timeout:
-        Wall-clock seconds one job may take.  Parallel chunks get
-        ``job_timeout * len(chunk)`` from dispatch; inline jobs run on a
-        bounded thread.  ``None`` disables the deadline.
+        Wall-clock seconds one job may take: a chunk gets
+        ``job_timeout * len(chunk)`` from dispatch.  In-process chunks
+        then run on a daemon thread that a missed deadline abandons.
+        ``None`` disables the deadline.
     retry_backoff:
         Base delay before re-dispatching a failed job; doubles per
         failed attempt.
@@ -963,13 +777,6 @@ def run_campaign(
         :mod:`repro.engine.gencache`): a warm cache expands the campaign
         without running the pass pipeline.  ``gen_cache`` takes
         precedence over ``gen_cache_dir``.
-    generation:
-        Where spec-derived kernels are rendered.  ``"worker"`` ships
-        :class:`KernelRef` descriptions and regenerates in the measuring
-        process; ``"parent"`` ships rendered kernels (the pre-deferral
-        behavior); ``"auto"`` defers exactly when a pool is in play
-        (``jobs > 1``).  Job IDs, seeds, and output bytes are identical
-        in every mode.
     store_format:
         On-disk layout for ``cache_dir`` / ``gen_cache_dir``:
         ``"sharded"`` (the default) opens the indexed segment store of
@@ -982,26 +789,20 @@ def run_campaign(
         raise ValueError("max_retries must be >= 0")
     if job_timeout is not None and job_timeout <= 0:
         raise ValueError("job_timeout must be positive")
-    resolved_policy = resolve_chunk_policy(chunk_policy, chunk_size)
     if chunk_target_ms is None:
         chunk_target_ms = DEFAULT_CHUNK_TARGET_MS
     elif chunk_target_ms <= 0:
         raise ValueError("chunk_target_ms must be positive")
-    if generation not in ("auto", "parent", "worker"):
-        raise ValueError(
-            f"generation must be 'auto', 'parent' or 'worker', got {generation!r}"
-        )
     if cache is None and cache_dir is not None:
         cache = open_result_cache(cache_dir, store_format)
     if gen_cache is None and gen_cache_dir is not None:
         gen_cache = open_generation_cache(gen_cache_dir, store_format)
-    defer = generation == "worker" or (generation == "auto" and jobs > 1)
 
     with obs.span(
         "engine.campaign", campaign=campaign.name, workers=max(1, jobs)
     ) as campaign_span:
         with obs.span("engine.expand"):
-            job_list = campaign.job_list(gen_cache=gen_cache, defer=defer)
+            job_list = campaign.job_list(gen_cache=gen_cache, defer=jobs > 1)
         campaign_span.set(jobs=len(job_list))
         say = progress or (lambda message: None)
         stats = RunStats(total_jobs=len(job_list), workers=max(1, jobs))
@@ -1046,34 +847,13 @@ def run_campaign(
         failures: dict[str, JobFailure] = {}
         attempts: dict[str, int] = defaultdict(int)
 
-        def record(job: Job, dicts: list[dict]) -> bool:
-            """Validate and store one job's payload; ``False`` if corrupt."""
-            try:
-                measurements = measurements_from_payload(dicts)
-            except ValueError:
-                return False
-            results[job.job_id] = measurements
-            stats.executed += 1
-            if cache is not None:
-                with obs.span(
-                    "engine.cache.put",
-                    metric="engine.cache.put_ms",
-                    job=job.job_id,
-                ):
-                    cache.put(
-                        job.job_id, dicts, kernel=job.kernel_name, mode=job.mode
-                    )
-                obs.count("engine.cache.puts")
-            return True
-
-        def record_batch(pairs: list[tuple[Job, list[dict]]]) -> list[bool]:
+        def record(pairs: list[tuple[Job, list[dict]]]) -> list[bool]:
             """Validate a chunk's payloads, then persist them in one batch.
 
-            The batched put amortizes the per-record open/flush across
-            the chunk while keeping crash consistency: every valid row
-            of the chunk is durable before the scheduler marks any of
-            its jobs handled (the caller marks only after this
-            returns).
+            Returns one ``ok`` per pair (``False``: corrupt payload).
+            Every valid row of the chunk is durable before the scheduler
+            moves on, so an interrupted run loses at most the chunks in
+            flight.
             """
             oks: list[bool] = []
             puts: list[tuple[str, list[dict], str, str]] = []
@@ -1093,11 +873,7 @@ def run_campaign(
                     metric="engine.cache.put_ms",
                     jobs=len(puts),
                 ):
-                    if hasattr(cache, "put_many"):
-                        cache.put_many(puts)
-                    else:  # user-supplied cache without batch support
-                        for job_id, dicts, kernel, mode in puts:
-                            cache.put(job_id, dicts, kernel=kernel, mode=mode)
+                    cache.put_many(puts)
                 obs.count("engine.cache.puts", len(puts))
             return oks
 
@@ -1116,58 +892,21 @@ def run_campaign(
                 f"{reason}"
             )
 
-        stats.chunk_policy = resolved_policy
-        if pending and stats.workers > 1:
-            stats.chunk_size = (
-                resolve_chunk_size(chunk_size, len(pending), stats.workers)
-                if resolved_policy == "static"
-                else _SEED_CHUNK_SIZE
-            )
-            with obs.span(
-                "engine.dispatch",
-                mode="pool",
-                jobs=len(pending),
-                workers=stats.workers,
-                chunk_size=stats.chunk_size,
-                chunk_policy=stats.chunk_policy,
-            ):
-                leftover = _parallel_execute(
-                    campaign,
-                    pending,
-                    stats=stats,
-                    faults=faults,
-                    attempts=attempts,
-                    max_retries=max_retries,
-                    job_timeout=job_timeout,
-                    retry_backoff=retry_backoff,
-                    chunk_target_ms=chunk_target_ms,
-                    record_batch=record_batch,
-                    quarantine=quarantine,
-                    say=say,
-                )
-            if leftover is None:
-                pending = []
-            else:
-                # Pool unavailable (sandboxed /dev/shm, fork limits):
-                # results are seed-derived per job, so inline execution
-                # is identical.
-                stats.fell_back_inline = True
-                say(f"{campaign.name}: worker pool unavailable, running inline")
-                pending = leftover
         if pending:
-            with obs.span("engine.dispatch", mode="inline", jobs=len(pending)):
-                _inline_execute(
-                    campaign,
-                    pending,
-                    stats=stats,
-                    faults=faults,
-                    attempts=attempts,
-                    max_retries=max_retries,
-                    job_timeout=job_timeout,
-                    retry_backoff=retry_backoff,
-                    record=record,
-                    quarantine=quarantine,
-                )
+            _dispatch(
+                campaign,
+                pending,
+                stats=stats,
+                faults=faults,
+                attempts=attempts,
+                max_retries=max_retries,
+                job_timeout=job_timeout,
+                retry_backoff=retry_backoff,
+                chunk_target_ms=chunk_target_ms,
+                record=record,
+                quarantine=quarantine,
+                say=say,
+            )
 
         ordered_failures: list[JobFailure] = []
         reported: set[str] = set()

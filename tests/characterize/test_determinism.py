@@ -32,9 +32,9 @@ def reference():
 
 class TestDeterminism:
     @pytest.mark.parametrize("jobs", (1, 2))
-    @pytest.mark.parametrize("chunk_size", (1, 7, None))
-    def test_byte_identical_across_dispatch(self, reference, jobs, chunk_size):
-        result = _characterize(jobs=jobs, chunk_size=chunk_size)
+    @pytest.mark.parametrize("chunk_target_ms", (1, 7, None))
+    def test_byte_identical_across_dispatch(self, reference, jobs, chunk_target_ms):
+        result = _characterize(jobs=jobs, chunk_target_ms=chunk_target_ms)
         assert result.table.to_json().encode() == reference
 
     @pytest.mark.parametrize("fmt", ("jsonl", "sharded"))

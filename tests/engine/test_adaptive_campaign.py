@@ -55,12 +55,12 @@ def clean(tmp_path_factory):
 
 class TestAdaptiveDeterminism:
     @pytest.mark.parametrize("jobs", (1, 2))
-    @pytest.mark.parametrize("chunk_size", (1, 3, None))
+    @pytest.mark.parametrize("chunk_target_ms", (1, 3, None))
     def test_byte_identical_across_dispatch(
-        self, clean, tmp_path, jobs, chunk_size
+        self, clean, tmp_path, jobs, chunk_target_ms
     ):
-        run = run_campaign(_campaign(), jobs=jobs, chunk_size=chunk_size)
-        tag = f"{jobs}_{chunk_size}"
+        run = run_campaign(_campaign(), jobs=jobs, chunk_target_ms=chunk_target_ms)
+        tag = f"{jobs}_{chunk_target_ms}"
         assert run.write_csv(tmp_path / f"{tag}.csv").read_bytes() == clean["csv"]
         assert (
             run.write_jsonl(tmp_path / f"{tag}.jsonl").read_bytes()
@@ -166,3 +166,28 @@ class TestQualityColumns:
         for row in rows:
             for column in QUALITY_COLUMNS:
                 assert column not in row
+
+
+class TestStoppingTelemetry:
+    """Each executed adaptive job is counted exactly once as converged or
+    capped: in-process by the measurement core itself, on the pool by
+    the scheduler from the decoded worker frames."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_converged_plus_capped_is_the_job_count(self, jobs):
+        from repro import obs
+
+        obs.disable()
+        obs.enable()
+        try:
+            run = run_campaign(_campaign(), jobs=jobs)
+            counters = obs.metrics_snapshot()["counters"]
+            histograms = obs.metrics_snapshot()["histograms"]
+        finally:
+            obs.disable()
+        assert run.stats.executed == run.stats.total_jobs
+        converged = counters.get("stopping.converged", 0)
+        capped = counters.get("stopping.capped", 0)
+        assert converged + capped == run.stats.total_jobs
+        assert converged == sum(m.converged for m in run.measurements())
+        assert histograms["stopping.experiments"]["count"] == run.stats.total_jobs

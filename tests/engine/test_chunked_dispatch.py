@@ -1,20 +1,21 @@
 """Chunked dispatch: batching jobs per worker cannot change a byte.
 
 Determinism is structural (content-hash noise seeds, job-index row
-order), so any chunking — size 1, auto, or the whole campaign in one
-chunk — must write identical result files.  The per-worker kernel memo
-must likewise be invisible: an option sweep over one kernel normalizes
-it once but measures exactly the same values.
+order), so any chunking — single-job chunks, the default target, or
+chunks as large as the planner allows — must write identical result
+files.  The per-worker kernel memo must likewise be invisible: an
+option sweep over one kernel normalizes it once but measures exactly
+the same values.
 """
 
 import pytest
 
 from repro.engine import Campaign, SweepSpec, run_campaign
 from repro.engine.runner import (
-    _MAX_AUTO_CHUNK,
-    _execute_chunk,
-    _execute_job,
-    resolve_chunk_size,
+    _DYNAMIC_MAX_CHUNK,
+    _SEED_CHUNK_SIZE,
+    _ChunkPlanner,
+    run_chunk,
 )
 from repro.launcher import LauncherOptions
 
@@ -36,73 +37,115 @@ def sweep_campaign():
 
 
 class TestResolveChunkSize:
-    def test_explicit_size_wins(self):
-        assert resolve_chunk_size(5, n_jobs=1000, workers=4) == 5
+    """A chunk's size is resolved by the planner: seed chunks first, then
+    ``chunk_target_ms`` divided by the observed per-job cost, clipped to
+    [1, ``_DYNAMIC_MAX_CHUNK``] and to the jobs left."""
 
-    def test_explicit_size_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_chunk_size(0, n_jobs=10, workers=2)
+    def test_explicit_size_wins(self, sweep_campaign):
+        jobs = sweep_campaign.job_list()
+        planner = _ChunkPlanner(jobs, target_ms=20.0)
+        planner.observe(None, [2.0])
+        assert len(planner.carve().jobs) == 10  # 20 ms / 2 ms per job
 
-    def test_auto_targets_a_few_chunks_per_worker(self):
-        assert resolve_chunk_size(None, n_jobs=64, workers=4) == 4
+    def test_explicit_size_validated(self, sweep_campaign):
+        with pytest.raises(ValueError, match="chunk_target_ms"):
+            run_campaign(sweep_campaign, chunk_target_ms=-1.0)
 
-    def test_auto_never_below_one(self):
-        assert resolve_chunk_size(None, n_jobs=1, workers=8) == 1
+    def test_auto_targets_a_few_chunks_per_worker(self, sweep_campaign):
+        n_jobs = len(sweep_campaign.job_list())
+        run = run_campaign(sweep_campaign, jobs=2)
+        # One seed chunk per worker, then chunks grow past the seed size.
+        assert 2 <= run.stats.chunks < n_jobs // _SEED_CHUNK_SIZE
 
-    def test_auto_capped(self):
-        assert resolve_chunk_size(None, n_jobs=100_000, workers=2) == _MAX_AUTO_CHUNK
+    def test_auto_never_below_one(self, sweep_campaign):
+        planner = _ChunkPlanner(sweep_campaign.job_list(), target_ms=0.001)
+        planner.observe(None, [1e12])
+        assert len(planner.carve().jobs) == 1
 
-    def test_empty_campaign_resolves_to_one(self):
-        assert resolve_chunk_size(None, n_jobs=0, workers=4) == 1
+    def test_auto_capped(self, sweep_campaign):
+        many = [sweep_campaign.job_list()[0]] * (3 * _DYNAMIC_MAX_CHUNK)
+        planner = _ChunkPlanner(many, target_ms=1e9)
+        planner.observe(None, [0.001])
+        assert len(planner.carve().jobs) == _DYNAMIC_MAX_CHUNK
 
-    def test_more_workers_than_jobs(self):
-        assert resolve_chunk_size(None, n_jobs=3, workers=16) == 1
+    def test_more_workers_than_jobs(self, sweep_campaign, tmp_path):
+        small = Campaign(
+            name="small",
+            machine=sweep_campaign.machine,
+            sweeps=(
+                SweepSpec(
+                    kernels=sweep_campaign.sweeps[0].kernels[:3],
+                    base=sweep_campaign.sweeps[0].base.with_(trip_count=256),
+                ),
+            ),
+        )
+        serial = run_campaign(small, jobs=1)
+        wide = run_campaign(small, jobs=4)
+        assert wide.stats.chunks == 1  # the seed chunk holds all three jobs
+        assert wide.measurements() == serial.measurements()
 
-    def test_explicit_size_may_exceed_job_count(self):
-        # One oversized chunk is legal: the dispatcher just sends one batch.
-        assert resolve_chunk_size(50, n_jobs=10, workers=2) == 50
+    def test_explicit_size_may_exceed_job_count(self, sweep_campaign):
+        jobs = sweep_campaign.job_list()
+        planner = _ChunkPlanner(jobs, target_ms=1e9)
+        first = planner.carve()
+        planner.observe(None, [1.0] * len(first.jobs))
+        rest = planner.carve()
+        assert first.jobs + rest.jobs == jobs  # one chunk takes what is left
+        assert planner.exhausted()
 
 
 class TestChunkExecution:
     def test_chunk_equals_per_job_execution(self, sweep_campaign):
         jobs = sweep_campaign.job_list()[:6]
-        chunked = _execute_chunk(sweep_campaign.machine, jobs)
-        single = [_execute_job(sweep_campaign.machine, job) for job in jobs]
-        assert chunked == single
+        chunked = run_chunk(sweep_campaign.machine, jobs)
+        single = [run_chunk(sweep_campaign.machine, [job])[0] for job in jobs]
+        assert [r[:2] for r in chunked] == [r[:2] for r in single]
 
     def test_chunk_preserves_job_order(self, sweep_campaign):
         jobs = sweep_campaign.job_list()[:6]
-        result = _execute_chunk(sweep_campaign.machine, jobs)
-        assert [job_id for job_id, _ in result] == [j.job_id for j in jobs]
+        result = run_chunk(sweep_campaign.machine, jobs)
+        assert [job_id for job_id, _, _ in result] == [j.job_id for j in jobs]
 
 
 class TestChunkedCampaignDeterminism:
-    @pytest.mark.parametrize("chunk_size", (1, 3, None, 10_000))
+    @pytest.mark.parametrize("jobs", (1, 4))
+    @pytest.mark.parametrize("chunk_target_ms", (0.001, 3, None, 1e9))
     def test_every_chunking_byte_identical(
-        self, sweep_campaign, tmp_path, chunk_size
+        self, sweep_campaign, tmp_path, chunk_target_ms, jobs
     ):
         serial = run_campaign(sweep_campaign, jobs=1)
-        chunked = run_campaign(sweep_campaign, jobs=4, chunk_size=chunk_size)
+        chunked = run_campaign(
+            sweep_campaign, jobs=jobs, chunk_target_ms=chunk_target_ms
+        )
+        tag = f"{jobs}_{chunk_target_ms}"
         a = serial.write_csv(tmp_path / "serial.csv")
-        b = chunked.write_csv(tmp_path / f"chunk_{chunk_size}.csv")
+        b = chunked.write_csv(tmp_path / f"chunk_{tag}.csv")
         assert a.read_bytes() == b.read_bytes()
         aj = serial.write_jsonl(tmp_path / "serial.jsonl")
-        bj = chunked.write_jsonl(tmp_path / f"chunk_{chunk_size}.jsonl")
+        bj = chunked.write_jsonl(tmp_path / f"chunk_{tag}.jsonl")
         assert aj.read_bytes() == bj.read_bytes()
 
     def test_stats_record_chunk_size(self, sweep_campaign):
-        run = run_campaign(sweep_campaign, jobs=2, chunk_size=3)
-        assert run.stats.chunk_size == 3
-        auto = run_campaign(sweep_campaign, jobs=2)
-        assert auto.stats.chunk_size >= 1
+        """``RunStats.chunks`` counts the chunks actually dispatched, so
+        it tracks chunk size: tiny targets mean single-job chunks."""
+        n_jobs = len(sweep_campaign.job_list())
+        for jobs in (1, 2):
+            tiny = run_campaign(sweep_campaign, jobs=jobs, chunk_target_ms=0.001)
+            # Only each worker's first (seed) chunk batches several jobs.
+            assert tiny.stats.chunks >= n_jobs - 3 * jobs
+            default = run_campaign(sweep_campaign, jobs=jobs)
+            assert 1 <= default.stats.chunks < tiny.stats.chunks
+            assert f"chunks={default.stats.chunks}" in repr(default.stats)
 
     def test_invalid_chunk_size_rejected(self, sweep_campaign):
-        with pytest.raises(ValueError, match=">= 1"):
-            run_campaign(sweep_campaign, jobs=2, chunk_size=0)
+        with pytest.raises(ValueError, match="chunk_target_ms"):
+            run_campaign(sweep_campaign, jobs=2, chunk_target_ms=0.0)
+        with pytest.raises(TypeError):  # the fixed-size knob is gone
+            run_campaign(sweep_campaign, jobs=2, chunk_size=3)
 
     def test_chunked_run_fills_cache_like_serial(self, sweep_campaign, tmp_path):
         chunked = run_campaign(
-            sweep_campaign, jobs=4, chunk_size=2, cache_dir=tmp_path / "c"
+            sweep_campaign, jobs=4, chunk_target_ms=0.001, cache_dir=tmp_path / "c"
         )
         warm = run_campaign(sweep_campaign, jobs=1, cache_dir=tmp_path / "c")
         assert warm.stats.executed == 0
@@ -119,7 +162,7 @@ class TestKernelMemo:
         assert len(jobs) == 3  # one kernel, three trip counts
         digests = {(j.kernel_digest, j.options.trip_count) for j in jobs}
         runner._SIM_MEMO.clear()
-        _execute_chunk(sweep_campaign.machine, jobs)
+        run_chunk(sweep_campaign.machine, jobs)
         assert set(runner._SIM_MEMO) == digests
 
     def test_memo_bounded(self, sweep_campaign):
@@ -130,7 +173,7 @@ class TestKernelMemo:
         try:
             for i in range(runner._SIM_MEMO_MAX):
                 runner._SIM_MEMO[(f"fake{i}", 0)] = object()
-            _execute_chunk(sweep_campaign.machine, [job])
+            run_chunk(sweep_campaign.machine, [job])
             assert len(runner._SIM_MEMO) <= runner._SIM_MEMO_MAX
         finally:
             runner._SIM_MEMO.clear()
@@ -149,7 +192,7 @@ class TestKernelMemo:
             fakes = [(f"fake{i}", 0) for i in range(runner._SIM_MEMO_MAX)]
             for key in fakes:
                 runner._SIM_MEMO[key] = object()
-            _execute_chunk(sweep_campaign.machine, [job])
+            run_chunk(sweep_campaign.machine, [job])
             assert len(runner._SIM_MEMO) == runner._SIM_MEMO_MAX
             assert fakes[0] not in runner._SIM_MEMO  # only the oldest went
             assert all(key in runner._SIM_MEMO for key in fakes[1:])
@@ -174,12 +217,12 @@ class TestKernelMemo:
         key_a = (job_a.kernel_digest, job_a.options.trip_count)
         runner._SIM_MEMO.clear()
         try:
-            _execute_chunk(sweep_campaign.machine, [job_a])  # A inserted
+            run_chunk(sweep_campaign.machine, [job_a])  # A inserted
             fakes = [(f"fake{i}", 0) for i in range(runner._SIM_MEMO_MAX - 1)]
             for key in fakes:
                 runner._SIM_MEMO[key] = object()  # memo now full
-            _execute_chunk(sweep_campaign.machine, [job_a])  # hit: A -> tail
-            _execute_chunk(sweep_campaign.machine, [job_b])  # miss: evict one
+            run_chunk(sweep_campaign.machine, [job_a])  # hit: A -> tail
+            run_chunk(sweep_campaign.machine, [job_b])  # miss: evict one
             assert key_a in runner._SIM_MEMO  # the hit kept A alive
             assert fakes[0] not in runner._SIM_MEMO  # the LRU fake went
         finally:
@@ -193,7 +236,7 @@ class TestKernelMemo:
         jobs = sweep_campaign.job_list()[:6]
         runner._SIM_MEMO.clear()
         try:
-            _execute_chunk(sweep_campaign.machine, jobs)
+            run_chunk(sweep_campaign.machine, jobs)
             assert len(runner._SIM_MEMO) <= 2
         finally:
             runner._SIM_MEMO.clear()

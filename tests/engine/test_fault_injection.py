@@ -87,16 +87,16 @@ class TestQuarantine:
     """Acceptance criterion: one always-failing job -> N-1 identical rows."""
 
     @pytest.mark.parametrize(
-        "jobs,chunk_size", [(1, None), (4, None), (4, 1), (4, 3), (4, 10_000)]
+        "jobs,chunk_target_ms", [(1, None), (4, None), (4, 1), (4, 3), (4, 10_000)]
     )
     def test_poisoned_job_degrades_to_n_minus_1(
-        self, campaign, clean, victim, tmp_path, jobs, chunk_size
+        self, campaign, clean, victim, tmp_path, jobs, chunk_target_ms
     ):
         faults = FaultPlan.for_job(victim.job_id, "raise")
         run = run_campaign(
             campaign,
             jobs=jobs,
-            chunk_size=chunk_size,
+            chunk_target_ms=chunk_target_ms,
             faults=faults,
             max_retries=1,
             retry_backoff=0.0,
@@ -107,7 +107,7 @@ class TestQuarantine:
         assert len(run.rows()) == len(clean.rows()) - 1
 
         expected = _without(clean, victim.job_id)
-        tag = f"{jobs}_{chunk_size}"
+        tag = f"{jobs}_{chunk_target_ms}"
         a = expected.write_csv(tmp_path / f"expected_{tag}.csv")
         b = run.write_csv(tmp_path / f"faulted_{tag}.csv")
         assert a.read_bytes() == b.read_bytes()
@@ -240,7 +240,6 @@ class TestTimeouts:
         run = run_campaign(
             campaign,
             jobs=2,
-            chunk_size=4,
             faults=faults,
             job_timeout=0.4,
             max_retries=0,
@@ -263,7 +262,6 @@ class TestWorkerCrash:
         run = run_campaign(
             campaign,
             jobs=2,
-            chunk_size=4,
             faults=faults,
             max_retries=1,
             retry_backoff=0.0,
@@ -284,7 +282,6 @@ class TestWorkerCrash:
         run = run_campaign(
             campaign,
             jobs=2,
-            chunk_size=4,
             faults=faults,
             max_retries=2,
             retry_backoff=0.0,
@@ -399,7 +396,6 @@ class TestAdaptiveFaults:
         run = run_campaign(
             adaptive_campaign,
             jobs=2,
-            chunk_size=4,
             faults=FaultPlan.for_job(adaptive_victim.job_id, "crash"),
             max_retries=1,
             retry_backoff=0.0,

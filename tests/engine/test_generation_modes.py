@@ -1,10 +1,12 @@
-"""Equivalence of generation modes: parent-side vs in-worker, cold vs warm.
+"""Equivalence of generation modes: parent-side vs deferred, cold vs warm.
 
-The deferral machinery (KernelRef jobs, worker-side regeneration, the
-persistent generation cache) is a pure transport optimization — every
-combination of {parent, worker} x {no cache, cold cache, warm cache} x
-chunk size must produce byte-identical result files.  These tests pin
-that contract.
+Inline runs render kernels parent-side; pool runs ship KernelRef jobs
+and regenerate them where they are measured — in a worker, or in this
+process when the pool cannot fork and the run falls back to the
+in-process executor.  The deferral machinery (KernelRef jobs,
+regeneration, the persistent generation cache) is a pure transport
+optimization: every mode x {no cache, cold cache, warm cache} must
+produce byte-identical result files.  These tests pin that contract.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.engine import (
     open_generation_cache,
     run_campaign,
 )
+from repro.engine.pool import WorkerPool, shutdown_worker_pool
 from repro.kernels import loadstore_family
 from repro.kernels.reduction import dot_product_spec
 from repro.launcher import LauncherOptions
@@ -36,40 +39,47 @@ def _campaign() -> Campaign:
     )
 
 
-def _result_bytes(tmp_path, tag, **kwargs):
-    run = run_campaign(_campaign(), **kwargs)
+def _run_bytes(run, tmp_path, tag):
     csv = run.write_csv(tmp_path / f"{tag}.csv")
     jsonl = run.write_jsonl(tmp_path / f"{tag}.jsonl")
     return csv.read_bytes(), jsonl.read_bytes()
 
 
+def _result_bytes(tmp_path, tag, **kwargs):
+    return _run_bytes(run_campaign(_campaign(), **kwargs), tmp_path, tag)
+
+
+def _no_forks(self, worker_id):
+    raise OSError("no forks here")
+
+
 class TestByteIdentical:
-    def test_all_modes_agree(self, tmp_path):
-        reference = _result_bytes(tmp_path, "ref", jobs=1, generation="parent")
-        gen_dir = tmp_path / "gencache"
-        combos = [
-            ("worker-j1", dict(jobs=1, generation="worker")),
-            ("worker-cold", dict(jobs=1, generation="worker",
-                                 gen_cache_dir=gen_dir)),
-            ("worker-warm", dict(jobs=1, generation="worker",
-                                 gen_cache_dir=gen_dir)),
-            ("parent-warm", dict(jobs=1, generation="parent",
-                                 gen_cache_dir=gen_dir)),
-            ("auto-c1", dict(jobs=2, chunk_size=1)),
-            ("auto-c3", dict(jobs=2, chunk_size=3,
-                             gen_cache_dir=gen_dir)),
-        ]
-        for tag, kwargs in combos:
-            assert _result_bytes(tmp_path, tag, **kwargs) == reference, tag
+    def test_all_modes_agree(self, tmp_path, monkeypatch):
+        reference = _result_bytes(tmp_path, "ref", jobs=1)
+        for mode in ("inline", "pool", "no-fork"):
+            gen_dir = tmp_path / f"gencache-{mode}"
+            with monkeypatch.context() as patch:
+                if mode == "no-fork":
+                    shutdown_worker_pool()  # a live pool would be reused
+                    patch.setattr(WorkerPool, "_spawn_member", _no_forks)
+                for cache in ("none", "cold", "warm"):
+                    tag = f"{mode}-{cache}"
+                    run = run_campaign(
+                        _campaign(),
+                        jobs=1 if mode == "inline" else 2,
+                        gen_cache_dir=None if cache == "none" else gen_dir,
+                    )
+                    deferred = isinstance(run.jobs[0].kernel, KernelRef)
+                    assert deferred == (mode != "inline"), tag
+                    assert run.stats.fell_back_inline == (mode == "no-fork"), tag
+                    assert _run_bytes(run, tmp_path, tag) == reference, tag
 
     def test_warm_cache_round_trips_results(self, tmp_path):
         gen_dir = tmp_path / "gencache"
         cold = _result_bytes(tmp_path, "cold", jobs=1, gen_cache_dir=gen_dir)
         cache = open_generation_cache(gen_dir)
         assert len(cache) == 2  # one expansion per spec
-        warm = _result_bytes(
-            tmp_path, "warm", jobs=1, gen_cache=cache, generation="worker"
-        )
+        warm = _result_bytes(tmp_path, "warm", jobs=2, gen_cache=cache)
         assert warm == cold
         assert cache.stats.hits == 2
 
@@ -119,11 +129,13 @@ class TestDeferredJobs:
         deferred = build().job_list(defer=True)
         assert plain, "filter must keep some variants"
         assert [j.job_id for j in deferred] == [j.job_id for j in plain]
-        run = run_campaign(build(), jobs=1, generation="worker")
-        assert {m.kernel_name for m in run.measurements()} == {
-            j.kernel.name for j in deferred
-        }
+        for jobs in (1, 2):
+            run = run_campaign(build(), jobs=jobs)
+            assert {m.kernel_name for m in run.measurements()} == {
+                j.kernel.name for j in deferred
+            }
 
     def test_generation_mode_validated(self):
-        with pytest.raises(ValueError):
-            run_campaign(_campaign(), generation="telepathy")
+        """Generation follows ``jobs``; there is no mode to select."""
+        with pytest.raises(TypeError):
+            run_campaign(_campaign(), generation="parent")

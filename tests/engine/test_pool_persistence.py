@@ -3,7 +3,7 @@
 Workers now outlive ``run_campaign``: the second campaign in a process
 reuses the first one's pool.  These tests pin the three contracts that
 makes safe: (1) a reused pool produces byte-identical output to a fresh
-one, for every chunk policy and store backend; (2) every fault-injection
+one, for every store backend; (2) every fault-injection
 behaviour (crash, hang, garbage, kill/resume) holds when the workers
 are warm; (3) the epoch token keeps messages from a killed generation
 out of the current one.
@@ -17,13 +17,18 @@ import pytest
 
 from repro import obs
 from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign
-from repro.engine.pool import WorkerPool, _Worker, get_worker_pool, shutdown_worker_pool
+from repro.engine.pool import (
+    InProcessExecutor,
+    WorkerPool,
+    _Worker,
+    get_worker_pool,
+    shutdown_worker_pool,
+)
 from repro.engine.runner import (
     _DYNAMIC_MAX_CHUNK,
     _SEED_CHUNK_SIZE,
     _ChunkPlanner,
     _gen_group,
-    resolve_chunk_policy,
 )
 from repro.launcher import LauncherOptions
 
@@ -63,32 +68,23 @@ def _bytes(run, tmp_path, tag):
 
 
 class TestChunkPolicyResolution:
-    def test_auto_is_dynamic_without_explicit_size(self):
-        assert resolve_chunk_policy("auto", None) == "dynamic"
+    """One chunk policy remains: dynamic sizing toward a wall-time target."""
 
-    def test_auto_is_static_with_explicit_size(self):
-        assert resolve_chunk_policy("auto", 8) == "static"
+    def test_auto_is_dynamic_without_explicit_size(self, campaign):
+        run = run_campaign(campaign, jobs=2)
+        # Seed chunks first, then chunks sized from measured durations:
+        # 16 cheap jobs need fewer chunks than fixed seed-size slicing.
+        assert 2 <= run.stats.chunks < len(campaign.job_list()) // _SEED_CHUNK_SIZE
 
-    def test_explicit_policies_pass_through(self):
-        assert resolve_chunk_policy("static", None) == "static"
-        assert resolve_chunk_policy("dynamic", 8) == "dynamic"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="chunk_policy"):
-            resolve_chunk_policy("adaptive", None)
+    def test_unknown_policy_rejected(self, campaign):
+        with pytest.raises(TypeError):
+            run_campaign(campaign, jobs=1, chunk_policy="static")
 
     def test_run_records_policy(self, campaign):
-        assert run_campaign(campaign, jobs=1).stats.chunk_policy == "dynamic"
-        assert (
-            run_campaign(campaign, jobs=1, chunk_size=4).stats.chunk_policy
-            == "static"
-        )
-        assert (
-            run_campaign(
-                campaign, jobs=1, chunk_policy="dynamic", chunk_size=4
-            ).stats.chunk_policy
-            == "dynamic"
-        )
+        """Inline runs chunk too, and both executors record their chunks."""
+        for jobs in (1, 2):
+            run = run_campaign(campaign, jobs=jobs, chunk_target_ms=0.001)
+            assert run.stats.chunks > len(campaign.job_list()) // 2
 
     def test_invalid_target_rejected(self, campaign):
         with pytest.raises(ValueError, match="chunk_target_ms"):
@@ -98,9 +94,7 @@ class TestChunkPolicyResolution:
 class TestDynamicPlanner:
     def test_seeds_small_then_tracks_target(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=100.0
-        )
+        planner = _ChunkPlanner(jobs, target_ms=100.0)
         first = planner.carve()
         assert len(first.jobs) == _SEED_CHUNK_SIZE
         # Fast jobs (2ms each): chunks should grow toward 100ms/2ms = 50.
@@ -110,27 +104,23 @@ class TestDynamicPlanner:
 
     def test_slow_jobs_shrink_chunks_to_one(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=100.0
-        )
+        planner = _ChunkPlanner(jobs, target_ms=100.0)
         planner.observe(_gen_group(jobs[0]), [10_000.0])
         assert len(planner.carve().jobs) == 1
 
     def test_chunk_size_is_capped(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=1e9
-        )
+        planner = _ChunkPlanner(jobs, target_ms=1e9)
         planner.observe(_gen_group(jobs[0]), [0.001])
         assert len(planner.carve().jobs) <= _DYNAMIC_MAX_CHUNK
 
-    def test_static_policy_carves_fixed_chunks(self, campaign):
+    def test_planner_drains_every_job_once(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs, policy="static", chunk_size=5, target_ms=250.0)
-        sizes = []
+        planner = _ChunkPlanner(jobs, target_ms=250.0)
+        carved = []
         while not planner.exhausted():
-            sizes.append(len(planner.carve().jobs))
-        assert sizes == [5, 5, 5, 1]
+            carved.extend(planner.carve().jobs)
+        assert carved == jobs
         assert planner.carve() is None
 
     def test_chunks_never_span_spec_families(self):
@@ -149,9 +139,7 @@ class TestDynamicPlanner:
         )
         jobs = two_specs.job_list(defer=True)
         assert len({_gen_group(j) for j in jobs}) == 2
-        planner = _ChunkPlanner(
-            jobs, policy="dynamic", chunk_size=None, target_ms=1e9
-        )
+        planner = _ChunkPlanner(jobs, target_ms=1e9)
         planner.observe(_gen_group(jobs[0]), [0.001])  # huge chunks allowed
         while not planner.exhausted():
             unit = planner.carve()
@@ -159,16 +147,16 @@ class TestDynamicPlanner:
 
 
 class TestPoolReuse:
-    @pytest.mark.parametrize("chunk_policy", ("static", "dynamic"))
+    @pytest.mark.parametrize(
+        "chunk_target_ms",
+        (pytest.param(None, id="default"), pytest.param(0.001, id="single-job")),
+    )
     @pytest.mark.parametrize("store_format", ("jsonl", "sharded"))
     def test_fresh_and_reused_pools_byte_identical(
-        self, campaign, serial_bytes, tmp_path, chunk_policy, store_format
+        self, campaign, serial_bytes, tmp_path, chunk_target_ms, store_format
     ):
         kwargs = dict(
-            jobs=2,
-            chunk_policy=chunk_policy,
-            chunk_size=3 if chunk_policy == "static" else None,
-            store_format=store_format,
+            jobs=2, chunk_target_ms=chunk_target_ms, store_format=store_format
         )
         shutdown_worker_pool()
         fresh = run_campaign(
@@ -178,7 +166,7 @@ class TestPoolReuse:
         reused = run_campaign(
             campaign, cache_dir=tmp_path / "reused", **kwargs
         )
-        tag = f"{chunk_policy}-{store_format}"
+        tag = f"{store_format}-{chunk_target_ms}"
         assert _bytes(fresh, tmp_path, f"fresh-{tag}") == serial_bytes
         assert _bytes(reused, tmp_path, f"reused-{tag}") == serial_bytes
         # Both runs filled their caches completely: a warm rerun from
@@ -235,7 +223,6 @@ class TestFaultsUnderWarmPool:
         run = run_campaign(
             campaign,
             jobs=2,
-            chunk_size=4,
             faults=FaultPlan.for_job(victim.job_id, "crash"),
             max_retries=1,
             retry_backoff=0.0,
@@ -250,7 +237,6 @@ class TestFaultsUnderWarmPool:
         run = run_campaign(
             campaign,
             jobs=2,
-            chunk_size=4,
             faults=FaultPlan.for_job(victim.job_id, "crash", until_attempt=1),
             max_retries=2,
             retry_backoff=0.0,
@@ -282,7 +268,6 @@ class TestFaultsUnderWarmPool:
         run = run_campaign(
             campaign,
             jobs=2,
-            chunk_size=4,
             faults=FaultPlan.for_job(victim.job_id, "hang", hang_seconds=8.0),
             max_retries=0,
             retry_backoff=0.0,
@@ -350,3 +335,23 @@ class TestEpochStaleness:
         child_conn.send("not-a-tuple")
         assert pool.poll(1.0) == []
         assert pool.task_of(0) == 1
+
+    def test_in_process_executor_drops_an_abandoned_chunk(self, campaign):
+        """A rebuild abandons the deadline thread; its late reply is stale."""
+        hung, fast = campaign.job_list()[:2]
+        faults = FaultPlan.for_job(hung.job_id, "hang", hang_seconds=0.3)
+        executor = InProcessExecutor(job_timeout=1.0)
+        obs.enable()
+        try:
+            abandoned = executor.submit(campaign.machine, [hung], faults, {})
+            executor.rebuild()
+            current = executor.submit(campaign.machine, [fast], faults, {})
+            assert current != abandoned
+            (reply,) = executor.poll(5.0)
+            assert reply[:3] == ("records", 0, current)
+            assert executor.task_of(0) is None
+            assert executor.poll(5.0) == []  # the hung chunk's late reply
+            counters = obs.metrics_snapshot()["counters"]
+            assert counters["engine.pool.stale_dropped"] == 1
+        finally:
+            obs.disable()

@@ -38,8 +38,8 @@ def _output_bytes(run, directory, tag):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("chunk_size", (1, 3, None))
-    def test_backends_byte_identical(self, tmp_path, chunk_size):
+    @pytest.mark.parametrize("chunk_target_ms", (1, 3, None))
+    def test_backends_byte_identical(self, tmp_path, chunk_target_ms):
         outputs = {}
         for fmt in ("jsonl", "sharded"):
             d = tmp_path / fmt
@@ -47,7 +47,7 @@ class TestBackendEquivalence:
             cold = run_campaign(
                 _campaign(),
                 jobs=2,
-                chunk_size=chunk_size,
+                chunk_target_ms=chunk_target_ms,
                 cache_dir=d / "cache",
                 gen_cache_dir=d / "gen",
                 store_format=fmt,
