@@ -42,7 +42,7 @@ stopped being the cheap pass it is.
 gates the sharded result store when present.  Both gates are
 machine-relative ratios measured within one run, so no cross-machine
 baseline arithmetic is involved: cold-loading a 10^5-row cache must stay
->= 10x faster than the JSONL backend (losing this means the index is no
+>= 10x faster than a legacy JSONL file (losing this means the index is no
 longer trusted and loads re-parse payloads), and membership-probe cost
 must stay sublinear as the store grows 100x (losing this means lookups
 degraded from binary search to scanning).

@@ -23,8 +23,8 @@ measurement simulation, which is identical in both paths and benchmarked
 in ``BENCH_measurement.json``.  The stub is installed before workers
 fork, so both executors inherit it equally.
 
-Also times per-row ``ResultCache.put`` against the chunk-boundary
-``put_many`` batch path for both store backends.
+Also times per-row ``ShardedResultCache.put`` against the chunk-boundary
+``put_many`` batch path.
 
 Asserts warm dispatch is >= 3x oracle throughput and that the warm
 campaign beats the fresh one (pool reuse must pay); writes
@@ -161,7 +161,7 @@ def _run_new(campaign, jobs) -> tuple[float, dict]:
 
 
 def _bench_cache_batching() -> dict:
-    """Per-row ``put`` vs chunk-boundary ``put_many`` for both backends."""
+    """Per-row ``put`` vs chunk-boundary ``put_many`` on the result store."""
     payload = [
         {
             "kernel_name": "k",
@@ -171,32 +171,31 @@ def _bench_cache_batching() -> dict:
             "metadata": {"mode": "sequential"},
         }
     ]
-    section: dict = {}
-    for fmt in ("jsonl", "sharded"):
-        root = Path(tempfile.mkdtemp(prefix="bench-dispatch-"))
-        try:
-            cache = open_result_cache(root / "per-row", store_format=fmt)
-            started = time.perf_counter()
-            for i in range(BATCH_ROWS):
-                cache.put(f"job-{i:08d}", payload, kernel="k", mode="m")
-            put_s = time.perf_counter() - started
+    root = Path(tempfile.mkdtemp(prefix="bench-dispatch-"))
+    try:
+        cache = open_result_cache(root / "per-row")
+        started = time.perf_counter()
+        for i in range(BATCH_ROWS):
+            cache.put(f"job-{i:08d}", payload, kernel="k", mode="m")
+        put_s = time.perf_counter() - started
 
-            cache = open_result_cache(root / "batched", store_format=fmt)
-            entries = [
-                (f"job-{i:08d}", payload, "k", "m") for i in range(BATCH_ROWS)
-            ]
-            started = time.perf_counter()
-            for i in range(0, BATCH_ROWS, CHUNK_ROWS):
-                cache.put_many(entries[i : i + CHUNK_ROWS])
-            put_many_s = time.perf_counter() - started
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        section[fmt] = {
+        cache = open_result_cache(root / "batched")
+        entries = [
+            (f"job-{i:08d}", payload, "k", "m") for i in range(BATCH_ROWS)
+        ]
+        started = time.perf_counter()
+        for i in range(0, BATCH_ROWS, CHUNK_ROWS):
+            cache.put_many(entries[i : i + CHUNK_ROWS])
+        put_many_s = time.perf_counter() - started
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return {
+        "sharded": {
             "rows": BATCH_ROWS,
             "put_us_per_row": put_s / BATCH_ROWS * 1e6,
             "put_many_us_per_row": put_many_s / BATCH_ROWS * 1e6,
         }
-    return section
+    }
 
 
 @pytest.mark.skipif(

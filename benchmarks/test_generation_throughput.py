@@ -9,7 +9,7 @@ ways:
   spec and each job carries a fully rendered kernel, which is what gets
   pickled to worker processes;
 - **deferred**: ``Campaign.job_list(gen_cache=..., defer=True)`` against
-  a warm :class:`~repro.engine.GenerationCache` — variant expansion is a
+  a warm :class:`~repro.engine.ShardedGenerationCache` — variant expansion is a
   cache read (no pipeline) and each spec-derived job carries a
   :class:`~repro.engine.KernelRef` instead of the kernel.
 
@@ -30,7 +30,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import Campaign, GenerationCache, SweepSpec, expand_spec_variants
+from repro.engine import (
+    Campaign,
+    ShardedGenerationCache,
+    SweepSpec,
+    expand_spec_variants,
+)
 from repro.kernels import loadstore_family
 from repro.launcher import LauncherOptions
 from repro.machine import nehalem_2s_x5650
@@ -65,7 +70,7 @@ def _pickled_chunks(jobs) -> int:
 
 def test_deferred_dispatch_speedup(tmp_path):
     campaign = _campaign()
-    cache = GenerationCache(tmp_path / "gencache")
+    cache = ShardedGenerationCache(tmp_path / "gencache")
     for sweep in campaign.sweeps:  # warm: one pipeline run per spec
         expand_spec_variants(sweep.spec, sweep.creator_options, cache)
 

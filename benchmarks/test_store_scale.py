@@ -1,16 +1,19 @@
-"""Scale benchmark: sharded segment store vs single-file JSONL cache.
+"""Scale benchmark: sharded segment store vs a single-file JSONL cache.
 
 Populates result caches of 10^4, 10^5, and 10^6 rows in both layouts
-and times the three operations the sharded store exists to accelerate:
+and times the three operations the sharded store exists to accelerate.
+The JSONL reference is the layout earlier releases wrote, read through
+the legacy loader (:func:`repro.engine.cache.load_legacy_jsonl`) that
+migration uses:
 
 - **cold-load**: constructing a cache over an existing directory.  The
-  JSONL backend parses and checksums every line; the sharded backend
+  legacy loader parses and checksums every line; the sharded store
   reads ``index.bin`` (no JSON touched).
 - **membership / resume-scan**: probing job IDs the way ``run_campaign``
   partitions a campaign on resume.  Membership is a dict hit for the
-  loaded JSONL cache and a binary search over the index for the sharded
-  store, so the *scan* cost (open + probes from a cold process) is where
-  the layouts diverge.
+  loaded JSONL records and a binary search over the index for the
+  sharded store, so the *scan* cost (open + probes from a cold process)
+  is where the layouts diverge.
 - **aggregation-read**: every stored row's aggregated
   cycles-per-iteration.  The JSONL path re-materializes measurement
   dicts into :class:`Measurement` objects; the sharded path loads the
@@ -33,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import ResultCache, ShardedResultCache
-from repro.engine.cache import record_check
+from repro.engine import ShardedResultCache
+from repro.engine.cache import load_legacy_jsonl, record_check, valid_result_record
 from repro.engine.serialize import measurements_from_payload
 
 SCALES = tuple(
@@ -76,9 +79,7 @@ def _record(i: int) -> dict:
 
 
 def _populate_jsonl(directory: Path, rows: int) -> float:
-    """Bulk-write the exact bytes a put-loop would produce (same record
-    shape, same checksums) — populating through ``put`` would only time
-    one open() syscall per row, which is not what this benchmark gates."""
+    """Bulk-write a legacy cache file: one checksummed line per record."""
     directory.mkdir(parents=True)
     start = time.perf_counter()
     lines = []
@@ -113,6 +114,12 @@ def _probe_ids(rows: int) -> list[str]:
     return present + absent
 
 
+def _load_jsonl(directory: Path) -> dict[str, dict]:
+    return load_legacy_jsonl(
+        directory / "results.jsonl", "job_id", valid_result_record
+    )
+
+
 def _time_backend(directory: Path, rows: int, opener) -> dict:
     start = time.perf_counter()
     cache = opener(directory)
@@ -132,7 +139,7 @@ def _time_backend(directory: Path, rows: int, opener) -> dict:
     else:
         pairs = sorted(
             (record["job_id"], record["measurements"])
-            for record in cache._records.values()
+            for record in cache.values()
         )
         values = np.array(
             [
@@ -169,7 +176,7 @@ def test_store_scale(tmp_path):
         jsonl_populate = _populate_jsonl(jsonl_dir, rows)
         sharded_populate = _populate_sharded(sharded_dir, rows)
 
-        jsonl = _time_backend(jsonl_dir, rows, ResultCache)
+        jsonl = _time_backend(jsonl_dir, rows, _load_jsonl)
         sharded = _time_backend(sharded_dir, rows, ShardedResultCache)
         np.testing.assert_array_equal(
             jsonl.pop("_values"), sharded.pop("_values")

@@ -27,7 +27,6 @@ def _grid(
     jobs=1, chunk_target_ms=None,
     cache_dir=None, resume=True,
     max_retries=2, job_timeout=None, gen_cache_dir=None,
-    store_format="sharded",
 ):
     """Run one single-kernel option grid through the campaign engine."""
     campaign = Campaign(
@@ -44,7 +43,6 @@ def _grid(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
 
 
@@ -59,7 +57,6 @@ def ablation_aggregator(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Min vs. mean vs. median aggregation under noise.
@@ -90,7 +87,6 @@ def ablation_aggregator(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     table = Table(header=("aggregator", "cycles/iter", "vs min"), title="aggregators")
     results = {
@@ -120,7 +116,6 @@ def ablation_warmup(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Cache heating (Fig. 10's first untimed call).
@@ -150,7 +145,6 @@ def ablation_warmup(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     by_warmup = {job.tags["warmup"]: m for job, m in run.rows()}
     warm, cold = by_warmup[True], by_warmup[False]
@@ -180,7 +174,6 @@ def ablation_overhead(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Call-overhead subtraction vs. trip count.
@@ -211,7 +204,6 @@ def ablation_overhead(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     cycles = {
         (job.tags["trip_count"], job.tags["subtract_overhead"]): m.cycles_per_iteration
@@ -251,7 +243,6 @@ def ablation_inner_reps(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Inner-loop repetitions vs. result variance.
@@ -281,7 +272,6 @@ def ablation_inner_reps(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     table = Table(header=("repetitions", "spread"), title="inner repetitions")
     spreads = {}

@@ -32,7 +32,6 @@ def fig14(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Fig. 14: forked multi-core RAM kernel — bandwidth saturation.
@@ -62,7 +61,6 @@ def fig14(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     by_cores = {
         job.tags["n_cores"]: statistics.fmean(m.cycles_per_iteration for m in ms)
@@ -167,7 +165,6 @@ def _seq_omp_rows(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
 ):
     """Run the same kernels sequentially and under OpenMP as one campaign.
 
@@ -188,7 +185,6 @@ def _seq_omp_rows(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     grouped = run.grouped("exec")
     return (
@@ -208,7 +204,6 @@ def _openmp_vs_sequential(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
 ):
     """Shared Figs. 17/18 implementation: movss loads, unroll 1..8."""
     machine = sandy_bridge_e31240()
@@ -238,7 +233,6 @@ def _openmp_vs_sequential(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     xs, seq_y, seq_lo, seq_hi, omp_y, omp_lo, omp_hi = [], [], [], [], [], [], []
     for kernel, seq, omp in zip(kernels, seq_ms, omp_ms):
@@ -284,7 +278,6 @@ def fig17(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Fig. 17: OpenMP vs sequential movss loads, 128k-element array."""
@@ -297,7 +290,6 @@ def fig17(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     return ExperimentResult(
         exhibit="fig17",
@@ -323,7 +315,6 @@ def fig18(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Fig. 18: the same with six million elements (RAM resident).
@@ -340,7 +331,6 @@ def fig18(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     return ExperimentResult(
         exhibit="fig18",
@@ -366,7 +356,6 @@ def table2(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     **_: object,
 ) -> ExperimentResult:
     """Table 2: execution seconds, OpenMP vs sequential, unroll 1..8.
@@ -405,7 +394,6 @@ def table2(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     table = Table(header=("unroll", "openmp_s", "sequential_s"), title="Table 2")
     omp_col, seq_col = [], []

@@ -26,7 +26,6 @@ def _unroll_hierarchy(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     rciw_target: float | None = None,
     max_experiments: int | None = None,
 ) -> ExperimentResult:
@@ -71,7 +70,6 @@ def _unroll_hierarchy(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     series = []
     for level in _LEVELS:
@@ -125,7 +123,6 @@ def fig11(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -141,7 +138,6 @@ def fig11(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
         rciw_target=rciw_target,
         max_experiments=max_experiments,
     )
@@ -160,7 +156,6 @@ def fig12(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -182,7 +177,6 @@ def fig12(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
         rciw_target=rciw_target,
         max_experiments=max_experiments,
     )
@@ -201,7 +195,6 @@ def fig13(
     max_retries: int = 2,
     job_timeout: float | None = None,
     gen_cache_dir: object = None,
-    store_format: str = "sharded",
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -246,7 +239,6 @@ def fig13(
         max_retries=max_retries,
         job_timeout=job_timeout,
         gen_cache_dir=gen_cache_dir,
-        store_format=store_format,
     )
     series = []
     for level in _LEVELS:

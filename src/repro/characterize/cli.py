@@ -16,8 +16,8 @@ first, so a bare ``verify`` is a self-contained round-trip check.
 semantics — empty on a simulated machine, the interesting output on a
 real one.
 
-Campaigns run through the engine, so ``--jobs``, ``--cache-dir``,
-``--resume`` and ``--store-format`` behave exactly as in the other CLIs;
+Campaigns run through the engine, so ``--jobs``, ``--cache-dir`` and
+``--resume`` behave exactly as in the other CLIs;
 the solved table is byte-identical for every worker count and across a
 kill/resume.
 """
@@ -95,12 +95,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="reuse cached results (--no-resume re-measures)",
-    )
-    parser.add_argument(
-        "--store-format",
-        choices=("jsonl", "sharded"),
-        default="sharded",
-        help="cache layout (default: sharded)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
@@ -194,7 +188,6 @@ def _characterize(args, machine):
         chunk_target_ms=args.chunk_target_ms,
         cache_dir=args.cache_dir,
         resume=args.resume,
-        store_format=args.store_format,
         max_retries=args.max_retries,
         job_timeout=args.job_timeout,
         progress=print if args.progress else None,

@@ -87,7 +87,6 @@ def run_characterization(
     chunk_target_ms: float | None = None,
     cache_dir: str | None = None,
     resume: bool = True,
-    store_format: str = "sharded",
     max_retries: int = 2,
     job_timeout: float | None = None,
     progress=None,
@@ -110,7 +109,6 @@ def run_characterization(
         chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
-        store_format=store_format,
         max_retries=max_retries,
         job_timeout=job_timeout,
         progress=progress,

@@ -159,13 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --measure: reuse cached results (--no-resume re-measures)",
     )
     parser.add_argument(
-        "--store-format",
-        choices=("jsonl", "sharded"),
-        default="sharded",
-        help="with --measure: on-disk layout for --cache-dir/--gen-cache "
-        "(default: sharded; migrates a legacy JSONL cache on first open)",
-    )
-    parser.add_argument(
         "--max-retries",
         type=int,
         default=2,
@@ -343,7 +336,6 @@ def _measure(args, creator: MicroCreator, spec) -> int:
         max_retries=args.max_retries,
         job_timeout=args.job_timeout,
         gen_cache_dir=args.gen_cache,
-        store_format=args.store_format,
     )
     results = args.results or f"results.{args.result_format}"
     if args.result_format == "jsonl":

@@ -172,15 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reuse cached results (--no-resume re-measures everything)",
     )
     parser.add_argument(
-        "--store-format",
-        choices=("jsonl", "sharded"),
-        default="sharded",
-        help="on-disk layout for --cache-dir/--gen-cache: 'sharded' "
-        "(default) uses indexed fixed-size segments with columnar "
-        "sidecars and migrates a legacy JSONL cache on first open; "
-        "'jsonl' keeps the single-file layout",
-    )
-    parser.add_argument(
         "--max-retries",
         type=int,
         default=2,
@@ -273,7 +264,6 @@ def _run_engine(args, machine, options, path: Path) -> int:
         max_retries=args.max_retries,
         job_timeout=args.job_timeout,
         gen_cache_dir=args.gen_cache,
-        store_format=args.store_format,
     )
     ms = run.measurements()
     if not ms:
@@ -372,7 +362,6 @@ def _observed_main(args) -> int:
                 max_retries=args.max_retries,
                 job_timeout=args.job_timeout,
                 gen_cache_dir=args.gen_cache,
-                store_format=args.store_format,
                 rciw_target=args.rciw_target,
                 max_experiments=args.max_experiments,
             )

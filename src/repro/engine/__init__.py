@@ -8,12 +8,11 @@ This package turns that workflow into a first-class pipeline:
 - :mod:`repro.engine.campaign` -- :class:`SweepSpec` / :class:`Campaign`
   describe a grid of kernels x launcher-option axes declaratively and
   expand it into :class:`Job` records with stable content-hash IDs,
-- :mod:`repro.engine.cache` -- a disk-backed JSONL result cache keyed by
+- :mod:`repro.engine.store` -- the disk-backed result store keyed by
   job ID, so re-running an exhibit or resuming an interrupted campaign
-  only executes the missing jobs,
-- :mod:`repro.engine.gencache` -- the same storage discipline for
-  *rendered variants*: a warm generation cache expands a spec sweep
-  without running the pass pipeline,
+  only executes the missing jobs, and the generation store for
+  *rendered variants* (:mod:`repro.engine.gencache`): a warm generation
+  cache expands a spec sweep without running the pass pipeline,
 - :mod:`repro.engine.generation` -- deferred generation
   (:class:`KernelRef`): spec-backed jobs ship a reference and workers
   regenerate their slice locally, memoized per process,
@@ -54,9 +53,9 @@ Quickstart::
 """
 
 from repro.engine.campaign import Campaign, Job, SweepSpec
-from repro.engine.cache import CacheStats, ResultCache
+from repro.engine.cache import CacheStats
 from repro.engine.faults import Fault, FaultPlan, InjectedFault
-from repro.engine.gencache import CachedVariant, GenerationCache
+from repro.engine.gencache import CachedVariant
 from repro.engine.generation import KernelRef, expand_spec_variants
 from repro.engine.hashing import (
     creator_options_digest,
@@ -95,12 +94,10 @@ __all__ = [
     "CacheStats",
     "Fault",
     "FaultPlan",
-    "GenerationCache",
     "InjectedFault",
     "Job",
     "JobFailure",
     "KernelRef",
-    "ResultCache",
     "RunStats",
     "ShardedGenerationCache",
     "ShardedResultCache",

@@ -1,33 +1,25 @@
-"""The disk-backed result cache: one JSONL file keyed by job ID.
+"""Record integrity for the stores, and the legacy JSONL loader.
 
-Layout: ``<cache_dir>/results.jsonl``, one line per stored job::
+Every stored record carries ``check``, a digest over the whole record's
+canonical JSON, so a line whose bytes were altered but still parse is
+caught on read.  The result-record shape::
 
     {"job_id": "6fb0...", "kernel": "...", "mode": "sequential",
      "measurements": [{...}, ...], "check": "9c41..."}
 
-Append-only and crash-tolerant: every completed job is flushed
-immediately, so an interrupted campaign resumes from the last finished
-job.  Damage anywhere in the file — a torn trailing write, a truncated
-middle line, garbage bytes from a crashed writer — is detected on load
-and the damaged lines are skipped; ``check`` (a digest over the whole
-record's canonical JSON) catches lines whose bytes were altered but
-still parse.  The first ``put`` after loading a damaged
-file *repairs* it: the file is atomically rewritten to exactly the
-surviving valid records.  When a job ID appears twice the later line
-wins, which is what re-measuring with ``resume=False`` produces.
-
-The same storage discipline backs the generation cache
-(:mod:`repro.engine.gencache`); the shared machinery lives in
-:class:`JsonlCache`.
+The stores themselves live in :mod:`repro.engine.store`.  Earlier
+releases kept each cache in one JSONL file (``results.jsonl``,
+``gencache.jsonl``); nothing writes that layout any more, and
+:func:`load_legacy_jsonl` reads it only so the store can migrate it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 
 def record_check(record: dict) -> str:
@@ -42,10 +34,6 @@ def record_check(record: dict) -> str:
     return hashlib.sha256(canonical.encode(errors="replace")).hexdigest()[:16]
 
 
-# Backwards-compatible alias (pre-gencache name).
-_record_check = record_check
-
-
 def check_passes(record: dict) -> bool:
     """Checksum validation shared by every record shape.
 
@@ -56,7 +44,7 @@ def check_passes(record: dict) -> bool:
     return check is None or check == record_check(record)
 
 
-#: Exactly the keys :meth:`ResultCache.put` (and the sharded backend)
+#: Exactly the keys :meth:`~repro.engine.store.ShardedResultCache.put`
 #: writes.  Closed-world: damage that mangles the ``check`` key itself
 #: yields a parseable record with an unknown key and *no* checksum —
 #: indistinguishable from a legacy record by ``check_passes`` alone.
@@ -68,9 +56,9 @@ _RESULT_RECORD_KEYS = frozenset(
 def valid_result_record(record: object) -> bool:
     """Structural + integrity validation of one result-cache record.
 
-    Shared by every result-store backend (:class:`ResultCache` and the
-    sharded store in :mod:`repro.engine.store`): the record shape is the
-    storage contract, not a property of any one file layout.
+    The record shape is the storage contract, not a property of any one
+    file layout: the store and the legacy loader accept exactly the same
+    records.
     """
     if not isinstance(record, dict):
         return False
@@ -102,220 +90,29 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-class JsonlCache:
-    """Append-only JSONL store with checksums and self-repair.
+def load_legacy_jsonl(
+    path: Path, key_field: str, valid_record: Callable[[object], bool]
+) -> dict[str, dict]:
+    """The valid records of a legacy JSONL cache file, by key.
 
-    Subclasses set :attr:`FILENAME` and :attr:`KEY` (the record field
-    holding the primary key) and implement :meth:`_valid_record` for
-    their payload shape.  The base class owns loading (damaged lines
-    skipped and counted), checksumming, atomic repair on the next write,
-    and torn-tail handling.
-
-    The trailing-newline state of the file is tracked *in memory*: it is
-    probed once when the file is loaded (a torn write can leave a valid
-    final line with no newline) and maintained across appends, so a
-    store costs one append — not a stat+open+seek probe per call.  The
-    cache assumes it is the file's only writer for its lifetime, which
-    the engine guarantees (workers never write caches).
+    Loading never raises on damage: blank lines are skipped, and torn,
+    unparseable, non-UTF-8 or checksum-failing lines are dropped.  When a
+    key appears twice the later line wins, which is what a forced
+    re-measure wrote.
     """
-
-    FILENAME = "cache.jsonl"
-    KEY = "key"
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path = self.directory / self.FILENAME
-        self.stats = CacheStats()
-        self._records: dict[str, dict] = {}
-        self._corrupt_lines = 0
-        # True when the next append must first restore a missing trailing
-        # newline (one probe per lifetime, at load).
-        self._torn_tail = False
-        self._load()
-
-    def _valid_record(self, record: object) -> bool:
-        """Structural + integrity validation of one loaded record."""
-        raise NotImplementedError
-
-    def _check_passes(self, record: dict) -> bool:
-        """Checksum validation shared by every record shape."""
-        return check_passes(record)
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        # errors="replace": damage can leave bytes that are not UTF-8;
-        # the mangled line then fails JSON or checksum validation below
-        # instead of killing the load.
-        with self.path.open(encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    self._corrupt_lines += 1
-                    continue
-                if self._valid_record(record):
-                    self._records[record[self.KEY]] = record
-                else:
-                    self._corrupt_lines += 1
-        self._torn_tail = not self._ends_with_newline()
-
-    @property
-    def corrupt_lines(self) -> int:
-        """Damaged lines detected at load time (0 after a repair)."""
-        return self._corrupt_lines
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def _store(self, record: dict) -> None:
-        """Checksum, remember, and flush one record.
-
-        If damaged lines were detected when the file was loaded, the
-        whole file is first rewritten to the surviving valid records —
-        the cache heals itself the next time it is written to.
-        """
-        record["check"] = record_check(record)
-        self._records[record[self.KEY]] = record
-        if self._corrupt_lines:
-            self._rewrite()
-        else:
-            # A torn write can leave a valid final line with no newline;
-            # appending straight onto it would weld two records
-            # together, so restore the separator first.
-            with self.path.open("ab") as fh:
-                if self._torn_tail:
-                    fh.write(b"\n")
-                fh.write(json.dumps(record).encode() + b"\n")
-            self._torn_tail = False
-        self.stats.stores += 1
-
-    def _store_many(self, records: list[dict]) -> None:
-        """Checksum and append a batch of records under one open+flush.
-
-        Same durability point as ``_store`` called in a loop — the batch
-        is on disk when this returns — but one file open and one flush
-        for the whole batch instead of per record, which is what lets
-        the scheduler persist a chunk's rows at its boundary without
-        paying per-job I/O.
-        """
-        if not records:
-            return
-        for record in records:
-            record["check"] = record_check(record)
-            self._records[record[self.KEY]] = record
-        if self._corrupt_lines:
-            self._rewrite()
-        else:
-            with self.path.open("ab") as fh:
-                if self._torn_tail:
-                    fh.write(b"\n")
-                for record in records:
-                    fh.write(json.dumps(record).encode() + b"\n")
-            self._torn_tail = False
-        self.stats.stores += len(records)
-
-    def _ends_with_newline(self) -> bool:
-        if self.path.stat().st_size == 0:
-            return True
-        with self.path.open("rb") as fh:
-            fh.seek(-1, 2)
-            return fh.read(1) == b"\n"
-
-    def _rewrite(self) -> None:
-        """Compact the file to exactly the valid records (atomic replace).
-
-        The replacement is made durable *before* it replaces the damaged
-        file: the tmp file is flushed and fsynced so a crash mid-repair
-        can never swap in a half-written file that the next load would
-        count as fresh corruption.
-        """
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for record in self._records.values():
-                fh.write(json.dumps(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(self.path)
-        self._corrupt_lines = 0
-        self._torn_tail = False
-
-    def clear(self) -> None:
-        """Drop every stored record (and the file).
-
-        Accounting resets with the contents: hit/miss/store counts from
-        before the clear would otherwise leak into post-clear rates.
-        """
-        self._records.clear()
-        self.stats = CacheStats()
-        self._corrupt_lines = 0
-        self._torn_tail = False
-        if self.path.exists():
-            self.path.unlink()
-
-
-class ResultCache(JsonlCache):
-    """Measurement-dict cache over a directory; see the module docstring."""
-
-    FILENAME = "results.jsonl"
-    KEY = "job_id"
-
-    def _valid_record(self, record: object) -> bool:
-        return valid_result_record(record)
-
-    def get(self, job_id: str) -> list[dict] | None:
-        """Stored measurement dicts for ``job_id``, or ``None`` (counted).
-
-        Returns a fresh list of fresh dicts: the in-memory record is what
-        a later self-repair rewrites to disk (under a freshly computed
-        checksum), so handing callers the live internals would let an
-        innocent mutation persist as silently corrupted measurements.
-        """
-        record = self._records.get(job_id)
-        if record is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return [dict(m) for m in record["measurements"]]
-
-    def put(
-        self,
-        job_id: str,
-        measurements: list[dict],
-        *,
-        kernel: str = "",
-        mode: str = "",
-    ) -> None:
-        """Store and immediately flush one job's measurements."""
-        self._store(
-            {
-                "job_id": job_id,
-                "kernel": kernel,
-                "mode": mode,
-                "measurements": measurements,
-            }
-        )
-
-    def put_many(
-        self, entries: list[tuple[str, list[dict], str, str]]
-    ) -> None:
-        """Store a chunk's results — ``(job_id, measurements, kernel,
-        mode)`` tuples — in one batched append (see ``_store_many``)."""
-        self._store_many(
-            [
-                {
-                    "job_id": job_id,
-                    "kernel": kernel,
-                    "mode": mode,
-                    "measurements": measurements,
-                }
-                for job_id, measurements, kernel, mode in entries
-            ]
-        )
+    records: dict[str, dict] = {}
+    # errors="replace": damage can leave bytes that are not UTF-8; the
+    # mangled line then fails JSON or checksum validation below instead
+    # of killing the load.
+    with path.open(encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if valid_record(record):
+                records[record[key_field]] = record
+    return records

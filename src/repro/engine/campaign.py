@@ -123,7 +123,7 @@ class SweepSpec:
     def iter_kernels(self, gen_cache=None) -> Iterator[object]:
         """The sweep's kernels, generating lazily when given a spec.
 
-        With a :class:`~repro.engine.gencache.GenerationCache`, spec
+        With a :class:`~repro.engine.store.ShardedGenerationCache`, spec
         expansion goes through it: a warm cache skips the pass pipeline,
         a cold one populates it.  The variant filter applies after either
         path — cache entries always hold the complete expansion.

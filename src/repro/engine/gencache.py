@@ -3,19 +3,20 @@
 Running the 19-pass pipeline over a big sweep costs far more than
 reading its output back, and generation is deterministic — the same
 ``(spec, creator options)`` pair always renders the same variants.  So
-campaigns may persist each expansion here (``<dir>/gencache.jsonl``) and
-skip the pipeline entirely on the next run, which is what makes
-``--resume`` and repeated sweeps start measuring immediately::
+campaigns may persist each expansion (one record per expansion in
+:class:`~repro.engine.store.ShardedGenerationCache`) and skip the
+pipeline entirely on the next run, which is what makes ``--resume`` and
+repeated sweeps start measuring immediately::
 
     {"key": "<spec digest>:<creator-options digest>", "spec": "matmul",
      "variants": [{"variant_id": 0, "name": "matmul_v0000",
                    "digest": "ab12...", "text": ".text\\n...",
                    "metadata": {...}}, ...], "check": "9c41..."}
 
-Storage discipline is inherited from :class:`~repro.engine.cache.JsonlCache`
-— whole-record checksums, damaged lines skipped on load, atomic
-self-repair on the next store, torn-tail handling — so a crashed or
-corrupted cache degrades to regeneration, never to wrong kernels.
+This module holds the record shape; the store supplies the storage
+discipline — whole-record checksums, damaged lines skipped, atomic
+self-repair, torn-tail handling — so a crashed or corrupted cache
+degrades to regeneration, never to wrong kernels.
 
 Cache hits return :class:`CachedVariant` handles: they carry the variant
 name, metadata, and content digest up front and parse the stored
@@ -27,17 +28,20 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro import obs
-from repro.engine.cache import JsonlCache, check_passes
+from repro.engine.cache import check_passes
 from repro.engine.hashing import kernel_digest
 from repro.isa.instructions import AsmProgram, Instruction
+
+
+def key_for(spec_dig: str, opts_dig: str) -> str:
+    """The record key of one ``(spec, creator options)`` expansion."""
+    return f"{spec_dig}:{opts_dig}"
 
 
 def valid_generation_record(record: object) -> bool:
     """Structural + integrity validation of one generation-cache record.
 
-    Shared by every generation-store backend (:class:`GenerationCache`
-    and the sharded store in :mod:`repro.engine.store`).
+    Shared by the store and the legacy JSONL loader.
     """
     if not isinstance(record, dict):
         return False
@@ -86,7 +90,7 @@ def generation_record(
 ) -> dict:
     """Build the storable record for one complete expansion."""
     return {
-        "key": GenerationCache.key_for(spec_dig, opts_dig),
+        "key": key_for(spec_dig, opts_dig),
         "spec": spec_name,
         "variants": [
             {
@@ -208,43 +212,3 @@ class CachedVariant:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CachedVariant {self._name!r} digest={self._digest_memo[:8]}>"
-
-
-class GenerationCache(JsonlCache):
-    """Rendered-variant cache over a directory; see the module docstring."""
-
-    FILENAME = "gencache.jsonl"
-    KEY = "key"
-
-    @staticmethod
-    def key_for(spec_dig: str, opts_dig: str) -> str:
-        return f"{spec_dig}:{opts_dig}"
-
-    def _valid_record(self, record: object) -> bool:
-        return valid_generation_record(record)
-
-    def get(self, spec_dig: str, opts_dig: str) -> list[CachedVariant] | None:
-        """The stored expansion for this spec + options, or ``None``."""
-        record = self._records.get(self.key_for(spec_dig, opts_dig))
-        if record is None:
-            self.stats.misses += 1
-            obs.count("gencache.miss")
-            return None
-        self.stats.hits += 1
-        obs.count("gencache.hit")
-        return variants_from_record(record)
-
-    def put(
-        self,
-        spec_dig: str,
-        opts_dig: str,
-        spec_name: str,
-        variants: Sequence[object],
-    ) -> None:
-        """Store one complete expansion (every variant, pre-filter).
-
-        ``variants`` are generated-kernel-like objects (``name``,
-        ``variant_id``, ``metadata``, ``asm_text``); the rendered
-        full-file text and its digest are what later runs reuse.
-        """
-        self._store(generation_record(spec_dig, opts_dig, spec_name, variants))

@@ -32,7 +32,7 @@ from repro.spec.schema import KernelSpec
 
 if TYPE_CHECKING:
     from repro.creator.pass_manager import CreatorOptions
-    from repro.engine.gencache import GenerationCache
+    from repro.engine.store import ShardedGenerationCache
 
 #: Expansions kept per worker process.  A chunk references one spec and
 #: campaigns interleave few specs per worker, so a handful suffices;
@@ -71,11 +71,11 @@ class KernelRef:
 def expand_spec_variants(
     spec: KernelSpec,
     options: "CreatorOptions | None",
-    gen_cache: "GenerationCache | None",
+    gen_cache: "ShardedGenerationCache | None",
 ) -> list[object]:
     """Every variant of ``spec`` under ``options``, cached when possible.
 
-    A warm :class:`~repro.engine.gencache.GenerationCache` returns
+    A warm :class:`~repro.engine.store.ShardedGenerationCache` returns
     :class:`~repro.engine.gencache.CachedVariant` handles without running
     the pass pipeline; a miss generates, stores the full expansion
     (pre-filter — the cache key knows nothing about sweep filters), and

@@ -55,10 +55,8 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro import obs
-from repro.engine.cache import ResultCache
 from repro.engine.campaign import Campaign, Job
 from repro.engine.faults import FaultPlan
-from repro.engine.gencache import GenerationCache
 from repro.engine.generation import KernelRef, resolve_kernel_ref
 from repro.engine.pool import (
     InProcessExecutor,
@@ -719,7 +717,7 @@ def run_campaign(
     jobs: int = 1,
     chunk_target_ms: float | None = None,
     cache_dir: str | Path | None = None,
-    cache: "ResultCache | ShardedResultCache | None" = None,
+    cache: ShardedResultCache | None = None,
     resume: bool = True,
     progress: Callable[[str], None] | None = None,
     max_retries: int = 2,
@@ -727,8 +725,7 @@ def run_campaign(
     retry_backoff: float = 0.05,
     faults: FaultPlan | None = None,
     gen_cache_dir: str | Path | None = None,
-    gen_cache: "GenerationCache | ShardedGenerationCache | None" = None,
-    store_format: str = "sharded",
+    gen_cache: ShardedGenerationCache | None = None,
 ) -> CampaignRun:
     """Execute a campaign and return its ordered results.
 
@@ -776,14 +773,9 @@ def run_campaign(
         Persist spec expansions across runs (see
         :mod:`repro.engine.gencache`): a warm cache expands the campaign
         without running the pass pipeline.  ``gen_cache`` takes
-        precedence over ``gen_cache_dir``.
-    store_format:
-        On-disk layout for ``cache_dir`` / ``gen_cache_dir``:
-        ``"sharded"`` (the default) opens the indexed segment store of
-        :mod:`repro.engine.store`, transparently migrating a legacy
-        JSONL cache the first time; ``"jsonl"`` keeps the single-file
-        layout.  Output bytes are identical either way; explicitly
-        passed ``cache`` / ``gen_cache`` objects are used as-is.
+        precedence over ``gen_cache_dir``.  A directory still holding a
+        legacy JSONL cache is migrated into the store on open (see
+        :mod:`repro.engine.store`).
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -794,9 +786,9 @@ def run_campaign(
     elif chunk_target_ms <= 0:
         raise ValueError("chunk_target_ms must be positive")
     if cache is None and cache_dir is not None:
-        cache = open_result_cache(cache_dir, store_format)
+        cache = open_result_cache(cache_dir)
     if gen_cache is None and gen_cache_dir is not None:
-        gen_cache = open_generation_cache(gen_cache_dir, store_format)
+        gen_cache = open_generation_cache(gen_cache_dir)
 
     with obs.span(
         "engine.campaign", campaign=campaign.name, workers=max(1, jobs)

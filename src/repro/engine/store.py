@@ -1,13 +1,8 @@
-"""The sharded segment store: indexed resume and a columnar read path.
+"""The result and generation stores: indexed resume and a columnar read path.
 
-The single-file JSONL caches (:mod:`repro.engine.cache`,
-:mod:`repro.engine.gencache`) re-parse every line on every load, so
-resume cost grows linearly with campaign size — a wall the 10^6–10^7-job
-characterization sweeps on the roadmap hit immediately.  This module
-keeps the *storage discipline* of :class:`~repro.engine.cache.JsonlCache`
-(whole-record checksums, damaged lines skipped, atomic self-repair,
-torn-tail handling) but changes the layout so membership tests, resume
-scans, and aggregation never parse payloads they do not need:
+Both caches live in sharded segment stores, laid out so membership
+tests, resume scans, and aggregation never parse payloads they do not
+need:
 
 ``<cache_dir>/results.shards/`` (resp. ``gencache.shards/``)::
 
@@ -28,14 +23,20 @@ columns of every record, which is what the zero-copy aggregation read
 path (:meth:`ShardedResultCache.columns`) loads instead of
 re-materializing measurement dicts.
 
-Damage anywhere degrades exactly like the JSONL backend: a torn data
-tail is re-scanned from the index's coverage point; a torn index tail is
-truncated to whole entries; a flipped byte in a record fails its
-checksum at read time and the key's shard is re-scanned; a flipped byte
-in the index fails the per-entry CRC and the index is rebuilt from the
-segments; a deleted ``index.bin`` is likewise rebuilt.  The first write
-after damage was observed repairs the store atomically, exactly like
-``JsonlCache._rewrite``.
+Every record carries a whole-record checksum
+(:func:`~repro.engine.cache.record_check`), and damage degrades to
+exactly what line-by-line parsing of the segment bytes recovers: a torn
+data tail is re-scanned from the index's coverage point; a torn index
+tail is truncated to whole entries; a record whose bytes fail their
+checksum or lost a delimiting newline is not served from its indexed
+range, and the key's shard is re-scanned; a flipped byte in the index
+fails the per-entry CRC and the index is rebuilt from the segments; a
+deleted ``index.bin`` is likewise rebuilt.  The first write after damage
+was observed repairs the store atomically.
+
+A cache directory still holding a single-file JSONL cache from an
+earlier release (``results.jsonl``, ``gencache.jsonl``) is migrated on
+open by :func:`open_result_cache` / :func:`open_generation_cache`.
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ import numpy as np
 from repro import obs
 from repro.engine.cache import (
     CacheStats,
-    ResultCache,
+    load_legacy_jsonl,
     record_check,
     valid_result_record,
 )
 from repro.engine.gencache import (
     CachedVariant,
-    GenerationCache,
     generation_record,
+    key_for,
     valid_generation_record,
     variants_from_record,
 )
@@ -138,9 +139,10 @@ class ShardedStore:
 
     The record shape is supplied by the caller: ``key_field`` names the
     primary-key field and ``valid_record`` is the structural+integrity
-    predicate (the same ones the JSONL backends use, so both layouts
-    accept exactly the same records).  ``columnar`` optionally maps a
-    sealed segment's records to a dict of numpy arrays for the sidecar.
+    predicate (the same one the legacy loader applies, so migration
+    accepts exactly the records the store would).  ``columnar``
+    optionally maps a sealed segment's records to a dict of numpy arrays
+    for the sidecar.
     """
 
     def __init__(
@@ -362,7 +364,7 @@ class ShardedStore:
         Valid tail records go into the overlay *and* straight back into
         the index file, restoring the covered-exactly invariant before
         the segment can seal.  Damaged tail bytes count as corruption and
-        schedule a repair, exactly like a damaged JSONL line.
+        schedule a repair.
         """
         path = self._segment_path(shard, segment)
         with path.open("rb") as fh:
@@ -435,7 +437,7 @@ class ShardedStore:
         """Rebuild all state from the segment bytes alone.
 
         ``heal=False`` (the load path) only observes: damaged lines are
-        counted and the store marked dirty, just like a JSONL load.
+        counted and the store marked dirty.
         ``heal=True`` (the repair path) rewrites every damaged or torn
         segment to exactly its valid lines — durably, via a fsynced tmp
         file — rebuilds sealed sidecars, and writes a fresh index.
@@ -561,9 +563,9 @@ class ShardedStore:
         The index resolves the record's exact byte range, so a lookup
         parses one line (``store.index_hit``); only a record whose bytes
         fail validation falls back to scanning the key's own shard
-        (``store.index_miss``), which is the JSONL-equivalent recovery
-        path.  A key absent from both overlay and index is simply absent
-        — membership stays O(log n).
+        (``store.index_miss``), which recovers exactly what line-by-line
+        parsing of the segments would.  A key absent from both overlay
+        and index is simply absent — membership stays O(log n).
         """
         loc = self._overlay.get(key)
         if loc is None:
@@ -600,14 +602,24 @@ class ShardedStore:
         self, loc: tuple[int, int, int, int], key: str
     ) -> dict | None:
         shard, segment, offset, length = loc
+        # Read one byte either side: the record is only still a line of
+        # its own if newlines delimit it (the file start before it; EOF
+        # after it while a torn tail awaits its newline).  Damage that
+        # destroyed a delimiter welded it to a neighbour, and a line scan
+        # would no longer recover it.
+        lead = 1 if offset else 0
         try:
             fh = self._reader(shard, segment)
-            fh.seek(offset)
-            raw = fh.read(length)
+            fh.seek(offset - lead)
+            raw = fh.read(length + lead + 1)
         except OSError:
             return None
+        if lead and raw[:1] != b"\n":
+            return None
+        if raw[lead + length :] not in (b"", b"\n"):
+            return None
         try:
-            record = json.loads(raw)
+            record = json.loads(raw[lead : lead + length])
         except ValueError:
             return None
         if not self._valid(record) or record.get(self.key_field) != key:
@@ -654,7 +666,7 @@ class ShardedStore:
 
     def put_record(self, key: str, record: dict, *, flush: bool = True) -> None:
         """Checksum, append, and index one record (repairing first if
-        damage was observed, exactly like ``JsonlCache._store``).
+        damage was observed).
 
         ``flush=False`` defers the durability point: the segment and
         index bytes are written but not flushed, letting a caller batch
@@ -931,11 +943,10 @@ class StoreColumns:
 
 
 class ShardedResultCache:
-    """Drop-in :class:`~repro.engine.cache.ResultCache` on sharded storage.
+    """Measurement dicts by job ID, stored in ``<dir>/results.shards/``.
 
-    Same directory convention (the store lives in
-    ``<dir>/results.shards/``), same record shape, same accounting; plus
-    :meth:`columns`, the columnar aggregation read path.
+    Hit/miss/store accounting in :attr:`stats`; :meth:`columns` is the
+    columnar aggregation read path.
     """
 
     DIRNAME = "results.shards"
@@ -1103,8 +1114,8 @@ def _latest_record_mask(jobs: np.ndarray, recs: np.ndarray) -> np.ndarray:
 
 
 class ShardedGenerationCache:
-    """Drop-in :class:`~repro.engine.gencache.GenerationCache` on sharded
-    storage (``<dir>/gencache.shards/``).
+    """Rendered variants by ``(spec, creator options)``, stored in
+    ``<dir>/gencache.shards/`` (see :mod:`repro.engine.gencache`).
 
     Generation records are few but large (every rendered variant of an
     expansion), so segments are small and there is no columnar sidecar —
@@ -1146,13 +1157,9 @@ class ShardedGenerationCache:
     def __contains__(self, key: str) -> bool:
         return key in self._store
 
-    @staticmethod
-    def key_for(spec_dig: str, opts_dig: str) -> str:
-        return GenerationCache.key_for(spec_dig, opts_dig)
-
     def get(self, spec_dig: str, opts_dig: str) -> list[CachedVariant] | None:
         """The stored expansion for this spec + options, or ``None``."""
-        record = self._store.get_record(self.key_for(spec_dig, opts_dig))
+        record = self._store.get_record(key_for(spec_dig, opts_dig))
         if record is None:
             self.stats.misses += 1
             obs.count("gencache.miss")
@@ -1180,67 +1187,36 @@ class ShardedGenerationCache:
 
 # -- factories + migration ---------------------------------------------
 
-STORE_FORMATS = ("jsonl", "sharded")
 
+def _migrate(legacy: Path, store: ShardedStore, what: str) -> None:
+    """Move a legacy JSONL cache file's valid records into ``store``.
 
-def _migrate(legacy_cache, target_store: ShardedStore, what: str) -> None:
-    """One-time move of a legacy JSONL cache into a sharded store.
-
-    The legacy loader already validated every surviving record, so
-    migration is a straight re-append; the old file is renamed (not
-    deleted) so nothing is lost if the migration itself is interrupted —
-    a partial sharded store plus the ``.migrated`` file can always be
-    reconciled by hand, and re-running after a crash mid-way re-appends
-    (later duplicates win, harmlessly).
+    The rename to ``.migrated`` is the commit point: until it happens the
+    legacy file stays where it is, so a migration interrupted part-way is
+    simply redone on the next open.  Records it already appended are
+    appended again, harmlessly, because the later record wins.
     """
-    with obs.span("store.migrate", what=what, records=len(legacy_cache)):
-        for record in legacy_cache._records.values():
-            target_store.put_record(record[legacy_cache.KEY], record)
-        legacy_cache.path.rename(
-            legacy_cache.path.with_name(legacy_cache.path.name + ".migrated")
-        )
+    if not legacy.exists():
+        return
+    records = load_legacy_jsonl(legacy, store.key_field, store._valid)
+    with obs.span("store.migrate", what=what, records=len(records)):
+        for key, record in records.items():
+            store.put_record(key, record)
+        legacy.rename(legacy.with_name(legacy.name + ".migrated"))
     obs.count("store.migrate")
 
 
-def open_result_cache(
-    directory: str | Path, store_format: str = "sharded"
-) -> ResultCache | ShardedResultCache:
-    """A result cache over ``directory`` in the requested format.
-
-    ``"sharded"`` (the default) transparently migrates a pre-existing
-    ``results.jsonl`` the first time the directory is opened sharded.
-    """
-    if store_format == "jsonl":
-        return ResultCache(directory)
-    if store_format != "sharded":
-        raise ValueError(
-            f"unknown store format {store_format!r}; "
-            f"expected one of {STORE_FORMATS}"
-        )
-    directory = Path(directory)
-    legacy_path = directory / ResultCache.FILENAME
-    fresh = not (directory / ShardedResultCache.DIRNAME).exists()
+def open_result_cache(directory: str | Path) -> ShardedResultCache:
+    """The result cache over ``directory``, migrating a legacy
+    ``results.jsonl`` into it if one is still there."""
     cache = ShardedResultCache(directory)
-    if fresh and legacy_path.exists():
-        _migrate(ResultCache(directory), cache.store, "results")
+    _migrate(cache.directory / "results.jsonl", cache.store, "results")
     return cache
 
 
-def open_generation_cache(
-    directory: str | Path, store_format: str = "sharded"
-) -> GenerationCache | ShardedGenerationCache:
-    """A generation cache over ``directory`` in the requested format."""
-    if store_format == "jsonl":
-        return GenerationCache(directory)
-    if store_format != "sharded":
-        raise ValueError(
-            f"unknown store format {store_format!r}; "
-            f"expected one of {STORE_FORMATS}"
-        )
-    directory = Path(directory)
-    legacy_path = directory / GenerationCache.FILENAME
-    fresh = not (directory / ShardedGenerationCache.DIRNAME).exists()
+def open_generation_cache(directory: str | Path) -> ShardedGenerationCache:
+    """The generation cache over ``directory``, migrating a legacy
+    ``gencache.jsonl`` into it if one is still there."""
     cache = ShardedGenerationCache(directory)
-    if fresh and legacy_path.exists():
-        _migrate(GenerationCache(directory), cache.store, "generation")
+    _migrate(cache.directory / "gencache.jsonl", cache.store, "generation")
     return cache

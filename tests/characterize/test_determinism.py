@@ -1,10 +1,10 @@
 """Characterization determinism: the table is a pure function of the seed.
 
 The acceptance bar from the ISSUE: same seed -> byte-identical
-instruction table across ``--jobs`` values, across a kill/resume, and on
-both store backends.  All of it falls out of the engine's per-job
-derived noise seeds plus the table's canonical JSON — asserted here on a
-class-covering opcode subset to keep the matrix fast.
+instruction table across ``--jobs`` values, across a kill/resume, and
+from a native or a migrated legacy store.  All of it falls out of the
+engine's per-job derived noise seeds plus the table's canonical JSON —
+asserted here on a class-covering opcode subset to keep the matrix fast.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from repro.characterize import run_characterization
 from repro.characterize.driver import characterization_campaign
 from repro.engine import FaultPlan, run_campaign
 from repro.machine import nehalem_2s_x5650
+from tests.legacy_jsonl import to_legacy
 
 #: Every register class, both probe shapes, all three port classes.
 OPCODES = ("add", "addps", "mulps", "mov", "imul", "cmp", "inc", "xorps", "movl")
@@ -37,18 +38,23 @@ class TestDeterminism:
         result = _characterize(jobs=jobs, chunk_target_ms=chunk_target_ms)
         assert result.table.to_json().encode() == reference
 
-    @pytest.mark.parametrize("fmt", ("jsonl", "sharded"))
-    def test_byte_identical_across_backends(self, reference, tmp_path, fmt):
-        cold = _characterize(cache_dir=tmp_path / "cache", store_format=fmt)
+    @pytest.mark.parametrize("origin", ("jsonl", "sharded"))
+    def test_byte_identical_across_backends(self, reference, tmp_path, origin):
+        """A warm run answers from the store, native or migrated from a
+        legacy JSONL cache."""
+        cold = _characterize(cache_dir=tmp_path / "cache")
         assert cold.table.to_json().encode() == reference
-        warm = _characterize(cache_dir=tmp_path / "cache", store_format=fmt)
+        if origin == "jsonl":
+            to_legacy(tmp_path / "cache")
+        warm = _characterize(cache_dir=tmp_path / "cache")
         assert warm.run.stats.executed == 0
         assert warm.table.to_json().encode() == reference
 
-    @pytest.mark.parametrize("fmt", ("jsonl", "sharded"))
-    def test_resume_after_kill_byte_identical(self, reference, tmp_path, fmt):
+    @pytest.mark.parametrize("origin", ("jsonl", "sharded"))
+    def test_resume_after_kill_byte_identical(self, reference, tmp_path, origin):
         """A probe campaign killed mid-run resumes from its cache into the
-        same table bytes a never-interrupted run produces."""
+        same table bytes a never-interrupted run produces — also when the
+        partial cache is a legacy JSONL file, migrated on resume."""
         campaign = characterization_campaign(
             nehalem_2s_x5650(), opcodes=OPCODES
         )
@@ -59,10 +65,11 @@ class TestDeterminism:
             max_retries=0,
             retry_backoff=0.0,
             cache_dir=tmp_path / "cache",
-            store_format=fmt,
         )
         assert [f.job_id for f in killed.failures] == [victim.job_id]
-        resumed = _characterize(cache_dir=tmp_path / "cache", store_format=fmt)
+        if origin == "jsonl":
+            to_legacy(tmp_path / "cache")
+        resumed = _characterize(cache_dir=tmp_path / "cache")
         assert resumed.run.stats.executed == 1  # only the killed job re-ran
         assert resumed.table.to_json().encode() == reference
 

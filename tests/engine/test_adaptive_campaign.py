@@ -4,8 +4,8 @@ The adaptive stopping layer draws from the same per-experiment noise
 streams as the fixed path and bootstraps from a composition-independent
 resample matrix, so an adaptive campaign must be exactly as deterministic
 as a fixed one: byte-identical CSV/JSONL across worker counts, chunk
-sizes, resume-after-kill, and both result-store backends — with the five
-quality columns present in every row.
+sizes, resume-after-kill (from a native or a migrated legacy store) and
+a warm rerun — with the five quality columns present in every row.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign
 from repro.launcher import LauncherOptions
 from repro.launcher.csvout import QUALITY_COLUMNS, read_csv
+from tests.legacy_jsonl import to_legacy
 
 
 def _campaign() -> Campaign:
@@ -73,10 +74,11 @@ class TestAdaptiveDeterminism:
         assert len(spent) > 1
         assert any(m.converged for m in clean["run"].measurements())
 
-    @pytest.mark.parametrize("fmt", ("jsonl", "sharded"))
-    def test_resume_after_kill_byte_identical(self, clean, tmp_path, fmt):
+    @pytest.mark.parametrize("origin", ("jsonl", "sharded"))
+    def test_resume_after_kill_byte_identical(self, clean, tmp_path, origin):
         """A campaign killed mid-run resumes from its cache to the same
-        bytes a never-interrupted run writes."""
+        bytes a never-interrupted run writes — also when the partial
+        cache is a legacy JSONL file, migrated on resume."""
         campaign = _campaign()
         victim = campaign.job_list()[5]
         killed = run_campaign(
@@ -85,12 +87,11 @@ class TestAdaptiveDeterminism:
             max_retries=0,
             retry_backoff=0.0,
             cache_dir=tmp_path / "cache",
-            store_format=fmt,
         )
         assert [f.job_id for f in killed.failures] == [victim.job_id]
-        resumed = run_campaign(
-            _campaign(), cache_dir=tmp_path / "cache", store_format=fmt
-        )
+        if origin == "jsonl":
+            to_legacy(tmp_path / "cache")
+        resumed = run_campaign(_campaign(), cache_dir=tmp_path / "cache")
         assert not resumed.failures
         assert resumed.stats.executed == 1  # only the killed job re-runs
         assert (
@@ -103,25 +104,15 @@ class TestAdaptiveDeterminism:
         )
 
     def test_backends_byte_identical(self, clean, tmp_path):
-        for fmt in ("jsonl", "sharded"):
-            d = tmp_path / fmt
-            d.mkdir()
-            cold = run_campaign(
-                _campaign(),
-                jobs=2,
-                cache_dir=d / "cache",
-                store_format=fmt,
-            )
-            warm = run_campaign(
-                _campaign(), cache_dir=d / "cache", store_format=fmt
-            )
-            assert warm.stats.executed == 0, fmt
-            assert cold.write_csv(d / "cold.csv").read_bytes() == clean["csv"]
-            assert warm.write_csv(d / "warm.csv").read_bytes() == clean["csv"]
-            assert (
-                warm.write_jsonl(d / "warm.jsonl").read_bytes()
-                == clean["jsonl"]
-            )
+        cold = run_campaign(_campaign(), jobs=2, cache_dir=tmp_path / "cache")
+        warm = run_campaign(_campaign(), cache_dir=tmp_path / "cache")
+        assert warm.stats.executed == 0
+        assert cold.write_csv(tmp_path / "cold.csv").read_bytes() == clean["csv"]
+        assert warm.write_csv(tmp_path / "warm.csv").read_bytes() == clean["csv"]
+        assert (
+            warm.write_jsonl(tmp_path / "warm.jsonl").read_bytes()
+            == clean["jsonl"]
+        )
 
 
 class TestQualityColumns:

@@ -1,31 +1,28 @@
-"""Property test: ResultCache survives arbitrary on-disk corruption.
+"""Property test: migrating a damaged legacy ``results.jsonl``.
 
-Whatever bytes end up in ``results.jsonl`` — truncation, garbage
-insertion, bit-flips — loading must never raise, ``get`` must never
-return a corrupt payload (only ``None`` or the exact original), and the
-first ``put`` afterwards must leave a fully valid file behind.
+Whatever bytes end up in the legacy file — truncation, garbage
+insertion, bit-flips — opening the directory must never raise, ``get``
+must never return a corrupt payload (only ``None`` or the exact
+original), and the migration must commit by renaming the file to
+``results.jsonl.migrated``.
 """
 
 from __future__ import annotations
 
-import json
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ResultCache
+from repro.engine import open_result_cache
+from tests.legacy_jsonl import result_line
 
 _PAYLOADS = {
     f"job{i:02d}": [{"cycles": float(i), "rep": r} for r in range(2)]
     for i in range(6)
 }
 
-
-def _fresh_cache(tmp_path):
-    cache = ResultCache(tmp_path)
-    for job_id, measurements in _PAYLOADS.items():
-        cache.put(job_id, measurements)
-    return cache.path.read_bytes()
+_PRISTINE = "".join(
+    result_line(job_id, measurements) for job_id, measurements in _PAYLOADS.items()
+).encode()
 
 
 @st.composite
@@ -50,33 +47,19 @@ def _corrupt(data: bytes, kind: str, pos: int, blob: bytes) -> bytes:
 @given(damage=st.lists(corruptions(), min_size=1, max_size=3))
 def test_corrupted_cache_never_lies(tmp_path_factory, damage):
     tmp_path = tmp_path_factory.mktemp("cache")
-    pristine = _fresh_cache(tmp_path)
-    data = pristine
+    data = _PRISTINE
     for kind, pos, blob in damage:
         data = _corrupt(data, kind, pos, blob)
-    path = tmp_path / "results.jsonl"
-    path.write_bytes(data)
+    (tmp_path / "results.jsonl").write_bytes(data)
 
-    # 1. Loading never raises, whatever the bytes are.
-    cache = ResultCache(tmp_path)
+    # 1. Opening never raises, whatever the bytes are.
+    cache = open_result_cache(tmp_path)
 
     # 2. get() is None or byte-exact truth — never a mangled payload.
     for job_id, original in _PAYLOADS.items():
         got = cache.get(job_id)
         assert got is None or got == original
 
-    # 3. The next put() repairs the file in place.
-    cache.put("fresh", [{"cycles": 1.0}])
-    repaired = ResultCache(tmp_path)
-    assert repaired.corrupt_lines == 0
-    assert repaired.get("fresh") == [{"cycles": 1.0}]
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue  # blank lines are tolerated, not corruption
-        record = json.loads(line)
-        assert isinstance(record["measurements"], list)
-
-    # Untouched survivors must still be readable after the repair.
-    for job_id, original in _PAYLOADS.items():
-        got = repaired.get(job_id)
-        assert got is None or got == original
+    # 3. The migration committed.
+    assert (tmp_path / "results.jsonl.migrated").exists()
+    assert not (tmp_path / "results.jsonl").exists()

@@ -200,9 +200,9 @@ class TestGarbage:
         assert open_result_cache(tmp_path).get(victim.job_id) is None
 
     def test_corrupt_cache_entry_remeasured(self, campaign, clean, victim, tmp_path):
-        from repro.engine import ResultCache
+        from repro.engine import ShardedResultCache
 
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultCache(tmp_path)
         cache.put(victim.job_id, [dict(d) for d in GARBAGE_PAYLOAD])
         run = run_campaign(campaign, cache=cache)
         assert not run.failures

@@ -3,7 +3,7 @@
 Workers now outlive ``run_campaign``: the second campaign in a process
 reuses the first one's pool.  These tests pin the three contracts that
 makes safe: (1) a reused pool produces byte-identical output to a fresh
-one, for every store backend; (2) every fault-injection
+one, also warm from a migrated legacy store; (2) every fault-injection
 behaviour (crash, hang, garbage, kill/resume) holds when the workers
 are warm; (3) the epoch token keeps messages from a killed generation
 out of the current one.
@@ -31,6 +31,7 @@ from repro.engine.runner import (
     _gen_group,
 )
 from repro.launcher import LauncherOptions
+from tests.legacy_jsonl import to_legacy
 
 
 @pytest.fixture(scope="module")
@@ -151,13 +152,11 @@ class TestPoolReuse:
         "chunk_target_ms",
         (pytest.param(None, id="default"), pytest.param(0.001, id="single-job")),
     )
-    @pytest.mark.parametrize("store_format", ("jsonl", "sharded"))
+    @pytest.mark.parametrize("origin", ("jsonl", "sharded"))
     def test_fresh_and_reused_pools_byte_identical(
-        self, campaign, serial_bytes, tmp_path, chunk_target_ms, store_format
+        self, campaign, serial_bytes, tmp_path, chunk_target_ms, origin
     ):
-        kwargs = dict(
-            jobs=2, chunk_target_ms=chunk_target_ms, store_format=store_format
-        )
+        kwargs = dict(jobs=2, chunk_target_ms=chunk_target_ms)
         shutdown_worker_pool()
         fresh = run_campaign(
             campaign, cache_dir=tmp_path / "fresh", **kwargs
@@ -166,11 +165,14 @@ class TestPoolReuse:
         reused = run_campaign(
             campaign, cache_dir=tmp_path / "reused", **kwargs
         )
-        tag = f"{store_format}-{chunk_target_ms}"
+        tag = f"{origin}-{chunk_target_ms}"
         assert _bytes(fresh, tmp_path, f"fresh-{tag}") == serial_bytes
         assert _bytes(reused, tmp_path, f"reused-{tag}") == serial_bytes
-        # Both runs filled their caches completely: a warm rerun from
-        # either store executes nothing and still matches.
+        # Both runs filled their caches completely: a warm rerun executes
+        # nothing and still matches, also from a store migrated out of a
+        # legacy JSONL cache.
+        if origin == "jsonl":
+            to_legacy(tmp_path / "reused")
         warm = run_campaign(
             campaign, cache_dir=tmp_path / "reused", **kwargs
         )

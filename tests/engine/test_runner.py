@@ -7,7 +7,7 @@ a second run against the same cache must execute nothing.
 
 import pytest
 
-from repro.engine import Campaign, ResultCache, SweepSpec, run_campaign
+from repro.engine import Campaign, ShardedResultCache, SweepSpec, run_campaign
 from repro.launcher import LauncherOptions
 
 
@@ -66,7 +66,7 @@ class TestCaching:
         assert forced.stats.cache_hits == 0
 
     def test_partial_cache_runs_only_missing(self, grid_campaign, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ShardedResultCache(tmp_path)
         all_jobs = grid_campaign.job_list()
         half = run_campaign(
             Campaign(

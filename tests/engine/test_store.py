@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    GenerationCache,
-    ResultCache,
     ShardedGenerationCache,
     ShardedResultCache,
     open_generation_cache,
     open_result_cache,
 )
+from repro.engine.gencache import generation_record
+from repro.engine.store import ShardedStore
+from tests.legacy_jsonl import legacy_line, result_line
 
 
 def meas(i, n=3, aggregator="min"):
@@ -274,10 +275,16 @@ class TestColumns:
 
 
 class TestMigration:
+    def _legacy_results(self, tmp_path, n=9):
+        (tmp_path / "results.jsonl").write_text(
+            "".join(
+                result_line(f"m{i}", [meas(i)], kernel=f"k{i}", mode="sequential")
+                for i in range(n)
+            )
+        )
+
     def test_legacy_results_migrated_once(self, tmp_path):
-        legacy = ResultCache(tmp_path)
-        for i in range(9):
-            legacy.put(f"m{i}", [meas(i)], kernel=f"k{i}", mode="sequential")
+        self._legacy_results(tmp_path)
         cache = open_result_cache(tmp_path)
         assert isinstance(cache, ShardedResultCache)
         assert len(cache) == 9
@@ -289,26 +296,44 @@ class TestMigration:
         assert len(again) == 9
 
     def test_legacy_gencache_migrated(self, tmp_path):
-        legacy = GenerationCache(tmp_path)
-        legacy.put("sd", "od", "spec", [_FakeKernel(0), _FakeKernel(1)])
+        record = generation_record("sd", "od", "spec", [_FakeKernel(0), _FakeKernel(1)])
+        (tmp_path / "gencache.jsonl").write_text(legacy_line(record))
         cache = open_generation_cache(tmp_path)
         assert isinstance(cache, ShardedGenerationCache)
         variants = cache.get("sd", "od")
         assert [v.name for v in variants] == ["v0000", "v0001"]
         assert (tmp_path / "gencache.jsonl.migrated").exists()
 
-    def test_jsonl_format_untouched(self, tmp_path):
-        legacy = ResultCache(tmp_path)
-        legacy.put("m1", [meas(1)])
-        cache = open_result_cache(tmp_path, "jsonl")
-        assert isinstance(cache, ResultCache)
-        assert (tmp_path / "results.jsonl").exists()
+    def test_interrupted_migration_resumes_on_reopen(self, tmp_path, monkeypatch):
+        """A migration killed part-way is redone by the next open: the
+        ``.migrated`` rename is its commit point, so no legacy record is
+        stranded."""
+        self._legacy_results(tmp_path)
+        real_put = ShardedStore.put_record
+        calls = 0
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store format"):
-            open_result_cache(tmp_path, "parquet")
-        with pytest.raises(ValueError, match="unknown store format"):
-            open_generation_cache(tmp_path, "parquet")
+        def dying_put(self, key, record, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 4:
+                raise _Killed
+            return real_put(self, key, record, **kwargs)
+
+        monkeypatch.setattr(ShardedStore, "put_record", dying_put)
+        with pytest.raises(_Killed):
+            open_result_cache(tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / "results.jsonl").exists()
+        cache = open_result_cache(tmp_path)
+        assert len(cache) == 9
+        for i in range(9):
+            assert cache.get(f"m{i}") == [meas(i)]
+        assert not (tmp_path / "results.jsonl").exists()
+        assert (tmp_path / "results.jsonl.migrated").exists()
+
+
+class _Killed(Exception):
+    pass
 
 
 class _FakeKernel:

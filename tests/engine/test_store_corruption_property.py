@@ -5,13 +5,16 @@ tails, garbage in ``index.bin``, a deleted index — loading must never
 raise, and the store must degrade to exactly the *JSONL-equivalent
 recovery set*: for every key, ``get`` returns what line-by-line JSONL
 parsing of the damaged segment bytes (checksums and all) would recover,
-or ``None`` when that record's bytes no longer validate.  The first
+or ``None`` when that record's bytes no longer validate.  That includes
+a record whose own bytes are intact but whose delimiting newline was
+destroyed: the line scan sees it welded to a neighbour, so the store
+must not serve it from its indexed byte range either.  The first
 ``put`` afterwards must repair the store completely.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ShardedResultCache
@@ -84,6 +87,11 @@ def _apply(store_dir, target, kind, pos, blob) -> None:
 
 @settings(max_examples=50, deadline=None)
 @given(damage=st.lists(corruptions(), min_size=1, max_size=3))
+# NULs over the newline after the first record (146), and over the second
+# record's tail and newline (291): each welds an intact record to its
+# neighbour, so the line scan loses it.
+@example(damage=[("segment-first", "substitute", 146, b"\x00")])
+@example(damage=[("segment-first", "substitute", 291, b"\x00" * 3)])
 def test_corrupted_store_degrades_to_jsonl_recovery(tmp_path_factory, damage):
     tmp_path = tmp_path_factory.mktemp("store")
     _fresh_store(tmp_path)

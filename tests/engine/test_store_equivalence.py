@@ -1,19 +1,20 @@
-"""Backend equivalence: the store layout cannot change an output byte.
+"""Store equivalence: where a row comes from cannot change an output byte.
 
-The sharded store is a pure storage optimization — every campaign must
-write byte-identical CSV/JSONL whether its caches live in a single JSONL
-file or in indexed segments, across resume, forced re-measure, chunk
-sizes, and the one-time legacy migration.
+Every campaign writes byte-identical CSV/JSONL whether its rows were
+measured now, read back from the store, re-measured, or migrated from a
+legacy single-file JSONL cache — across chunk sizes, resume, and a
+migration that finds damaged lines.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import Campaign, SweepSpec, run_campaign
+from repro.engine import Campaign, SweepSpec, open_generation_cache, run_campaign
 from repro.kernels import loadstore_family
 from repro.launcher import LauncherOptions
 from repro.machine import nehalem_2s_x5650
+from tests.legacy_jsonl import to_legacy
 
 
 def _campaign() -> Campaign:
@@ -40,70 +41,58 @@ def _output_bytes(run, directory, tag):
 class TestBackendEquivalence:
     @pytest.mark.parametrize("chunk_target_ms", (1, 3, None))
     def test_backends_byte_identical(self, tmp_path, chunk_target_ms):
-        outputs = {}
-        for fmt in ("jsonl", "sharded"):
-            d = tmp_path / fmt
-            d.mkdir()
-            cold = run_campaign(
-                _campaign(),
-                jobs=2,
-                chunk_target_ms=chunk_target_ms,
-                cache_dir=d / "cache",
-                gen_cache_dir=d / "gen",
-                store_format=fmt,
-            )
-            warm = run_campaign(
-                _campaign(),
-                jobs=1,
-                cache_dir=d / "cache",
-                gen_cache_dir=d / "gen",
-                store_format=fmt,
-            )
-            assert warm.stats.executed == 0, fmt
-            assert warm.stats.cache_hits == warm.stats.total_jobs, fmt
-            cold_bytes = _output_bytes(cold, d, "cold")
-            warm_bytes = _output_bytes(warm, d, "warm")
-            assert cold_bytes == warm_bytes, fmt
-            outputs[fmt] = cold_bytes
-        assert outputs["jsonl"] == outputs["sharded"]
+        """A cold pool run, a warm inline run from its store, and a warm
+        run from the same store migrated out of legacy JSONL files all
+        write the same bytes."""
+        dirs = dict(cache_dir=tmp_path / "cache", gen_cache_dir=tmp_path / "gen")
+        cold = run_campaign(
+            _campaign(), jobs=2, chunk_target_ms=chunk_target_ms, **dirs
+        )
+        expected = _output_bytes(cold, tmp_path, "cold")
+        warm = run_campaign(_campaign(), jobs=1, **dirs)
+        to_legacy(tmp_path / "cache")
+        to_legacy(tmp_path / "gen")
+        migrated = run_campaign(_campaign(), jobs=1, **dirs)
+        for tag, run in (("warm", warm), ("migrated", migrated)):
+            assert run.stats.executed == 0, tag
+            assert run.stats.cache_hits == run.stats.total_jobs, tag
+            assert _output_bytes(run, tmp_path, tag) == expected, tag
 
     def test_forced_remeasure_identical_across_backends(self, tmp_path):
-        outputs = {}
-        for fmt in ("jsonl", "sharded"):
-            d = tmp_path / fmt
-            d.mkdir()
-            run_campaign(_campaign(), cache_dir=d / "cache", store_format=fmt)
-            forced = run_campaign(
-                _campaign(),
-                cache_dir=d / "cache",
-                resume=False,
-                store_format=fmt,
-            )
-            assert forced.stats.executed == forced.stats.total_jobs
-            outputs[fmt] = _output_bytes(forced, d, "forced")
-        assert outputs["jsonl"] == outputs["sharded"]
+        """Re-measured rows shadow the stored ones with the same bytes."""
+        cold = run_campaign(_campaign(), cache_dir=tmp_path / "cache")
+        forced = run_campaign(
+            _campaign(), cache_dir=tmp_path / "cache", resume=False
+        )
+        assert forced.stats.executed == forced.stats.total_jobs
+        assert _output_bytes(forced, tmp_path, "forced") == _output_bytes(
+            cold, tmp_path, "cold"
+        )
 
     def test_migrated_legacy_cache_resumes_warm(self, tmp_path):
-        """jsonl-run caches answer a later sharded run after migration —
-        nothing re-executes and the bytes match."""
+        """Damaged legacy caches migrate exactly their valid records: the
+        resumed run re-measures only the job whose line was torn, and its
+        bytes match the uninterrupted run."""
         cache_dir = tmp_path / "cache"
         gen_dir = tmp_path / "gen"
-        cold = run_campaign(
-            _campaign(),
-            cache_dir=cache_dir,
-            gen_cache_dir=gen_dir,
-            store_format="jsonl",
+        cold = run_campaign(_campaign(), cache_dir=cache_dir, gen_cache_dir=gen_dir)
+        to_legacy(cache_dir)
+        to_legacy(gen_dir)
+        results = cache_dir / "results.jsonl"
+        lines = results.read_text().splitlines(keepends=True)
+        lines[0] = lines[0][: len(lines[0]) // 2] + "\n"  # torn mid-record
+        results.write_text(
+            "".join(lines) + '{"job_id": "x", "measurements": [{"tr'
         )
-        warm = run_campaign(
-            _campaign(),
-            cache_dir=cache_dir,
-            gen_cache_dir=gen_dir,
-            store_format="sharded",
-        )
-        assert warm.stats.executed == 0
-        assert not (cache_dir / "results.jsonl").exists()
-        assert (cache_dir / "results.jsonl.migrated").exists()
-        assert (cache_dir / "results.shards").is_dir()
+        gencache = gen_dir / "gencache.jsonl"
+        gencache.write_bytes(b"\xff not json\n" + gencache.read_bytes())
+        warm = run_campaign(_campaign(), cache_dir=cache_dir, gen_cache_dir=gen_dir)
+        assert warm.stats.executed == 1
+        assert warm.stats.cache_hits == warm.stats.total_jobs - 1
+        for legacy in (results, gencache):
+            assert not legacy.exists()
+            assert legacy.with_name(legacy.name + ".migrated").exists()
+        assert len(open_generation_cache(gen_dir)) == 1
         assert _output_bytes(cold, tmp_path, "cold") == _output_bytes(
             warm, tmp_path, "warm"
         )
