@@ -52,7 +52,6 @@ from repro.engine import Campaign, SweepSpec
 from repro.engine import runner
 from repro.engine.pool import shutdown_worker_pool
 from repro.engine.runner import (
-    DEFAULT_CHUNK_TARGET_MS,
     RunStats,
     _dispatch,
     run_chunk,
@@ -151,7 +150,6 @@ def _run_new(campaign, jobs) -> tuple[float, dict]:
         max_retries=0,
         job_timeout=None,
         retry_backoff=0.0,
-        chunk_target_ms=DEFAULT_CHUNK_TARGET_MS,
         record=record,
         quarantine=lambda job, reason: None,
         say=lambda line: None,

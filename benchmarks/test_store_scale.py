@@ -1,7 +1,7 @@
 """Scale benchmark: sharded segment store vs a single-file JSONL cache.
 
 Populates result caches of 10^4, 10^5, and 10^6 rows in both layouts
-and times the three operations the sharded store exists to accelerate.
+and times the two operations the sharded store exists to accelerate.
 The JSONL reference is the layout earlier releases wrote, read through
 the legacy loader (:func:`repro.engine.cache.load_legacy_jsonl`) that
 migration uses:
@@ -14,14 +14,11 @@ migration uses:
   loaded JSONL records and a binary search over the index for the
   sharded store, so the *scan* cost (open + probes from a cold process)
   is where the layouts diverge.
-- **aggregation-read**: every stored row's aggregated
-  cycles-per-iteration.  The JSONL path re-materializes measurement
-  dicts into :class:`Measurement` objects; the sharded path loads the
-  sealed segments' columnar sidecars and reduces arrays directly.
 
 Asserts cold-load of the 10^5-row cache is >= 10x faster sharded, that
-sharded membership cost grows sublinearly in row count, and that both
-backends aggregate to identical values; writes ``BENCH_store.json``
+sharded membership cost grows sublinearly in row count, and that every
+probed present job reads back identical measurements from both
+layouts; writes ``BENCH_store.json``
 (repo root) for the CI regression gate — see
 ``benchmarks/check_regression.py``.  Scales can be overridden for local
 iteration with ``STORE_BENCH_SCALES=10000,100000``.
@@ -34,11 +31,8 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.engine import ShardedResultCache
 from repro.engine.cache import load_legacy_jsonl, record_check, valid_result_record
-from repro.engine.serialize import measurements_from_payload
 
 SCALES = tuple(
     int(s)
@@ -120,7 +114,8 @@ def _load_jsonl(directory: Path) -> dict[str, dict]:
     )
 
 
-def _time_backend(directory: Path, rows: int, opener) -> dict:
+def _time_backend(directory: Path, rows: int, opener) -> tuple[object, dict]:
+    """The opened cache and its cold-load / membership timings."""
     start = time.perf_counter()
     cache = opener(directory)
     cold_load = time.perf_counter() - start
@@ -131,33 +126,11 @@ def _time_backend(directory: Path, rows: int, opener) -> dict:
     membership = time.perf_counter() - start
     assert hits == PROBES // 2, f"expected half the probes present, got {hits}"
 
-    start = time.perf_counter()
-    if isinstance(cache, ShardedResultCache):
-        columns = cache.columns()
-        values = columns.cycles_per_iteration()
-        order = np.argsort(columns.job_ids)
-    else:
-        pairs = sorted(
-            (record["job_id"], record["measurements"])
-            for record in cache.values()
-        )
-        values = np.array(
-            [
-                m.cycles_per_iteration
-                for _job_id, payload in pairs
-                for m in measurements_from_payload(payload)
-            ]
-        )
-        order = np.arange(len(values))
-    aggregation = time.perf_counter() - start
-
-    return {
+    return cache, {
         "rows": rows,
         "cold_load_seconds": round(cold_load, 5),
         "membership_seconds": round(membership, 5),
         "resume_scan_seconds": round(cold_load + membership, 5),
-        "aggregation_seconds": round(aggregation, 5),
-        "_values": values[order],
     }
 
 
@@ -176,11 +149,10 @@ def test_store_scale(tmp_path):
         jsonl_populate = _populate_jsonl(jsonl_dir, rows)
         sharded_populate = _populate_sharded(sharded_dir, rows)
 
-        jsonl = _time_backend(jsonl_dir, rows, _load_jsonl)
-        sharded = _time_backend(sharded_dir, rows, ShardedResultCache)
-        np.testing.assert_array_equal(
-            jsonl.pop("_values"), sharded.pop("_values")
-        )
+        records, jsonl = _time_backend(jsonl_dir, rows, _load_jsonl)
+        cache, sharded = _time_backend(sharded_dir, rows, ShardedResultCache)
+        for job_id in _probe_ids(rows)[: PROBES // 2]:
+            assert cache.get(job_id) == records[job_id]["measurements"], job_id
         jsonl["populate_seconds"] = round(jsonl_populate, 5)
         sharded["populate_seconds"] = round(sharded_populate, 5)
 
@@ -194,18 +166,13 @@ def test_store_scale(tmp_path):
             "jsonl": jsonl,
             "sharded": sharded,
             "cold_load_speedup": round(speedup, 2),
-            "aggregation_speedup": round(
-                jsonl["aggregation_seconds"]
-                / max(sharded["aggregation_seconds"], 1e-9),
-                2,
-            ),
         }
         print(
             f"\n{rows:>9,} rows: cold {jsonl['cold_load_seconds']:.3f}s -> "
             f"{sharded['cold_load_seconds']:.3f}s ({speedup:.1f}x)  "
             f"membership {sharded['membership_seconds'] * 1e3:.1f}ms  "
-            f"aggregate {jsonl['aggregation_seconds']:.3f}s -> "
-            f"{sharded['aggregation_seconds']:.3f}s"
+            f"populate {jsonl['populate_seconds']:.3f}s -> "
+            f"{sharded['populate_seconds']:.3f}s"
         )
 
     lo, hi = min(SCALES), max(SCALES)

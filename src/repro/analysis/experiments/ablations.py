@@ -24,8 +24,7 @@ def _ram_load_kernel(creator: MicroCreator):
 
 def _grid(
     name, kernel, base, axes, *, machine,
-    jobs=1, chunk_target_ms=None,
-    cache_dir=None, resume=True,
+    jobs=1, cache_dir=None, resume=True,
     max_retries=2, job_timeout=None, gen_cache_dir=None,
 ):
     """Run one single-kernel option grid through the campaign engine."""
@@ -37,7 +36,6 @@ def _grid(
     return run_campaign(
         campaign,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -51,7 +49,6 @@ def ablation_aggregator(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -81,7 +78,6 @@ def ablation_aggregator(
         {"aggregator": ("min", "median", "mean")},
         machine=machine,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -110,7 +106,6 @@ def ablation_aggregator(
 def ablation_warmup(
     *,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -139,7 +134,6 @@ def ablation_warmup(
         {"warmup": (True, False)},
         machine=machine,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -168,7 +162,6 @@ def ablation_warmup(
 def ablation_overhead(
     *,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -198,7 +191,6 @@ def ablation_overhead(
         {"trip_count": trips, "subtract_overhead": (True, False)},
         machine=machine,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -237,7 +229,6 @@ def ablation_overhead(
 def ablation_inner_reps(
     *,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -266,7 +257,6 @@ def ablation_inner_reps(
         {"repetitions": (1, 4, 16, 64, 256)},
         machine=machine,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,

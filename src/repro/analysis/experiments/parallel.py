@@ -26,7 +26,6 @@ def fig14(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -55,7 +54,6 @@ def fig14(
     run = run_campaign(
         Campaign(name="fig14_forked", machine=machine, sweeps=(sweep,)),
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -159,7 +157,6 @@ def _seq_omp_rows(
     machine,
     *,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -179,7 +176,6 @@ def _seq_omp_rows(
     run = run_campaign(
         Campaign(name=name, machine=machine, sweeps=sweeps),
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -198,7 +194,6 @@ def _openmp_vs_sequential(
     *,
     quick: bool,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -227,7 +222,6 @@ def _openmp_vs_sequential(
         options,
         machine,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -272,7 +266,6 @@ def fig17(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -284,7 +277,6 @@ def fig17(
     series, notes = _openmp_vs_sequential(
         128 * 1024, quick=quick,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -309,7 +301,6 @@ def fig18(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -325,7 +316,6 @@ def fig18(
     series, notes = _openmp_vs_sequential(
         6_000_000, quick=quick,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -350,7 +340,6 @@ def table2(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -388,7 +377,6 @@ def table2(
         options,
         machine,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,

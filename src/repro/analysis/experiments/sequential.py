@@ -20,7 +20,6 @@ def _unroll_hierarchy(
     *,
     quick: bool,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -64,7 +63,6 @@ def _unroll_hierarchy(
     run = run_campaign(
         Campaign(name=f"unroll_hierarchy_{opcode}", machine=machine, sweeps=sweeps),
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -117,7 +115,6 @@ def fig11(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -132,7 +129,6 @@ def fig11(
         "movaps",
         quick=quick,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -150,7 +146,6 @@ def fig12(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -171,7 +166,6 @@ def fig12(
         "movss",
         quick=quick,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,
@@ -189,7 +183,6 @@ def fig13(
     *,
     quick: bool = False,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: object = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -233,7 +226,6 @@ def fig13(
     run = run_campaign(
         Campaign(name="fig13_dvfs", machine=machine, sweeps=sweeps),
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,

@@ -83,10 +83,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=1, metavar="N", help="worker processes"
     )
     parser.add_argument(
-        "--chunk-target-ms", type=float, default=None, metavar="MS",
-        help="wall-time each chunk aims for (default: 250)",
-    )
-    parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="cache probe measurements by content hash (resumable)",
     )
@@ -185,7 +181,6 @@ def _characterize(args, machine):
         opcodes=opcodes,
         options=options,
         jobs=args.jobs,
-        chunk_target_ms=args.chunk_target_ms,
         cache_dir=args.cache_dir,
         resume=args.resume,
         max_retries=args.max_retries,

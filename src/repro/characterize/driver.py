@@ -84,7 +84,6 @@ def run_characterization(
     opcodes: tuple[str, ...] | None = None,
     options: LauncherOptions | None = None,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: str | None = None,
     resume: bool = True,
     max_retries: int = 2,
@@ -106,7 +105,6 @@ def run_characterization(
     run = run_campaign(
         campaign,
         jobs=jobs,
-        chunk_target_ms=chunk_target_ms,
         cache_dir=cache_dir,
         resume=resume,
         max_retries=max_retries,

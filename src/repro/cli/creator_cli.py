@@ -132,14 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --measure: worker processes (default: 1, inline)",
     )
     parser.add_argument(
-        "--chunk-target-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="with --measure: wall-time each chunk aims for (default: 250); "
-        "results are byte-identical for every target",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -329,7 +321,6 @@ def _measure(args, creator: MicroCreator, spec) -> int:
     run = run_campaign(
         campaign,
         jobs=args.jobs,
-        chunk_target_ms=args.chunk_target_ms,
         cache_dir=args.cache_dir,
         resume=args.resume,
         progress=print,

@@ -144,14 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for campaign execution (default: 1, inline)",
     )
     parser.add_argument(
-        "--chunk-target-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="wall-time each chunk of jobs aims for (default: 250); "
-        "results are byte-identical for every target",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -257,7 +249,6 @@ def _run_engine(args, machine, options, path: Path) -> int:
     run = run_campaign(
         campaign,
         jobs=args.jobs,
-        chunk_target_ms=args.chunk_target_ms,
         cache_dir=args.cache_dir,
         resume=args.resume,
         progress=print,
@@ -356,7 +347,6 @@ def _observed_main(args) -> int:
                 args.exhibit,
                 quick=args.quick,
                 jobs=args.jobs,
-                chunk_target_ms=args.chunk_target_ms,
                 cache_dir=args.cache_dir,
                 resume=args.resume,
                 max_retries=args.max_retries,

@@ -82,7 +82,6 @@ from repro.engine.store import (
     ShardedGenerationCache,
     ShardedResultCache,
     ShardedStore,
-    StoreColumns,
     open_generation_cache,
     open_result_cache,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ShardedGenerationCache",
     "ShardedResultCache",
     "ShardedStore",
-    "StoreColumns",
     "SweepSpec",
     "WorkerPool",
     "creator_options_digest",

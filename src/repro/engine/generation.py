@@ -34,12 +34,11 @@ if TYPE_CHECKING:
     from repro.creator.pass_manager import CreatorOptions
     from repro.engine.store import ShardedGenerationCache
 
-#: Expansions kept per worker process.  A chunk references one spec and
-#: campaigns interleave few specs per worker, so a handful suffices;
-#: oldest-inserted is evicted first, like the simulation-kernel memo.
-#: Expansions kept per process; overridable via ``REPRO_GEN_MEMO_MAX``
-#: (read per insertion).  The memo is LRU — long-lived pool workers hold
-#: it across campaigns, so hits keep an expansion alive.
+#: Expansions kept per process.  A chunk references one spec and
+#: campaigns interleave few specs per worker, so a handful suffices.
+#: The memo is LRU, like the simulation-kernel memo: long-lived pool
+#: workers hold it across campaigns, so a hit keeps an expansion alive
+#: and the least recently used one is evicted first.
 _GEN_MEMO_MAX = 4
 
 _GEN_MEMO: dict[tuple[str, str], dict[int, object]] = {}
@@ -111,11 +110,7 @@ def resolve_kernel_ref(ref: KernelRef) -> object:
             variants = list(MicroCreator(ref.options).stream(ref.spec))
             sp.set(variants=len(variants))
         expansion = {v.variant_id: v for v in variants}  # type: ignore[attr-defined]
-        from repro.engine.runner import _memo_capacity
-
-        while len(_GEN_MEMO) >= _memo_capacity(
-            "REPRO_GEN_MEMO_MAX", _GEN_MEMO_MAX
-        ):
+        while len(_GEN_MEMO) >= _GEN_MEMO_MAX:
             _GEN_MEMO.pop(next(iter(_GEN_MEMO)))
     # LRU: re-insert at the tail on hit and miss alike — workers persist
     # across campaigns now, so the expansions still in use must outlive

@@ -19,7 +19,7 @@ memos stay warm across ``run_campaign`` calls.
 
 Chunks are sized dynamically: the first chunks of each spec family are
 small, and each next one is sized from an EWMA of observed per-job
-durations to occupy a worker for ``chunk_target_ms`` — adaptive-stopping
+durations to occupy a worker for ``CHUNK_TARGET_MS`` — adaptive-stopping
 campaigns whose per-job cost varies >10x keep every worker busy to the
 tail.  Results are recorded, and become durable in the store, once per
 chunk.
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -82,25 +81,9 @@ from repro.machine.config import MachineConfig
 #: measurement) is pure in its text and lowering size, so a chunk that
 #: sweeps options over one kernel evaluates the model once.  Workers now
 #: outlive a single campaign, so the memo is LRU (a hit re-inserts at
-#: the tail) and its capacity is tunable via ``REPRO_SIM_MEMO_MAX``.
+#: the tail).
 _SIM_MEMO: dict[tuple[str, int], object] = {}
 _SIM_MEMO_MAX = 512
-
-
-def _memo_capacity(env_var: str, default: int) -> int:
-    """An eviction capacity, overridable by environment (min 1).
-
-    Read per insertion rather than at import so long-lived worker
-    processes (and tests) see changes without a re-exec; insertions only
-    happen on memo misses, so the lookup never shows up in a profile.
-    """
-    raw = os.environ.get(env_var)
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
 
 #: How often the dispatcher wakes to check deadlines and refill workers.
 _POLL_SECONDS = 0.05
@@ -115,8 +98,10 @@ _MAX_POOL_BREAKS_BEFORE_INLINE = 3
 
 #: Dynamic chunking: wall-clock a chunk should occupy a worker for.
 #: Large enough to amortize the queue round-trip, small enough that the
-#: tail of a campaign rebalances across workers.
-DEFAULT_CHUNK_TARGET_MS = 250.0
+#: tail of a campaign rebalances across workers.  A chunk's results
+#: become durable in the store together, so this also bounds the work
+#: an interruption can lose.
+CHUNK_TARGET_MS = 250.0
 
 #: Dynamic chunking: jobs per chunk before any duration has been
 #: observed for a spec family.  Deliberately small — the first chunks
@@ -153,8 +138,7 @@ def _sim_kernel_for(job: Job) -> object:
         if isinstance(kernel, KernelRef):
             kernel = resolve_kernel_ref(kernel)
         sim = as_sim_kernel(kernel, trip_count=job.options.trip_count)
-        capacity = _memo_capacity("REPRO_SIM_MEMO_MAX", _SIM_MEMO_MAX)
-        while len(_SIM_MEMO) >= capacity:
+        while len(_SIM_MEMO) >= _SIM_MEMO_MAX:
             # Evict the least-recently-used entry (hits re-insert at the
             # tail): a full wipe mid-sweep would throw away every kernel
             # the current chunk is still using.
@@ -416,14 +400,13 @@ class _ChunkPlanner:
     contiguous.  The first chunks of each family are
     ``_SEED_CHUNK_SIZE`` jobs; once per-job durations flow back from the
     executor, each next chunk is sized so it should occupy a worker for
-    ``target_ms`` — an EWMA per family, falling back to a campaign-wide
-    EWMA for families not yet seen.  Sizing only changes how many jobs
-    share a launcher and a store write; job identity, seeds, and output
-    bytes are untouched.
+    ``CHUNK_TARGET_MS`` — an EWMA per family, falling back to a
+    campaign-wide EWMA for families not yet seen.  Sizing only changes
+    how many jobs share a launcher and a store write; job identity,
+    seeds, and output bytes are untouched.
     """
 
-    def __init__(self, pending: list[Job], *, target_ms: float) -> None:
-        self.target_ms = target_ms
+    def __init__(self, pending: list[Job]) -> None:
         self._ewma: dict[object, float] = {}
         self._overall: float | None = None
         self._groups: deque[tuple[object, deque[Job]]] = deque(
@@ -450,7 +433,7 @@ class _ChunkPlanner:
         if per_job_ms is None:
             return _SEED_CHUNK_SIZE
         per_job_ms = max(per_job_ms, 1e-3)
-        return max(1, min(_DYNAMIC_MAX_CHUNK, int(self.target_ms / per_job_ms)))
+        return max(1, min(_DYNAMIC_MAX_CHUNK, int(CHUNK_TARGET_MS / per_job_ms)))
 
     def observe(self, key: object, durations_ms: list[float]) -> None:
         """Fold one completed chunk's per-job durations into the EWMA."""
@@ -480,7 +463,6 @@ def _dispatch(
     max_retries: int,
     job_timeout: float | None,
     retry_backoff: float,
-    chunk_target_ms: float,
     record: Callable[[list[tuple[Job, list[dict]]]], list[bool]],
     quarantine: Callable[[Job, str], None],
     say: Callable[[str], None],
@@ -509,7 +491,7 @@ def _dispatch(
     #: Retry/split re-dispatches; fresh chunks are carved on demand so
     #: chunk sizing uses the newest duration estimates.
     work: deque[_Unit] = deque()
-    planner = _ChunkPlanner(pending, target_ms=chunk_target_ms)
+    planner = _ChunkPlanner(pending)
     # task_id -> (unit, deadline, perf_counter submit time); submit time
     # feeds the per-chunk trace spans.  Submission is windowed to the
     # worker count, so submission time ~= start time, which is what
@@ -715,7 +697,6 @@ def run_campaign(
     campaign: Campaign,
     *,
     jobs: int = 1,
-    chunk_target_ms: float | None = None,
     cache_dir: str | Path | None = None,
     cache: ShardedResultCache | None = None,
     resume: bool = True,
@@ -737,14 +718,8 @@ def run_campaign(
         ship as :class:`KernelRef` descriptions and are regenerated in
         the measuring process.  If the pool cannot start (restricted
         environments), the same dispatch loop continues in-process —
-        results are identical either way.
-    chunk_target_ms:
-        Wall time each chunk aims for (default
-        ``DEFAULT_CHUNK_TARGET_MS``): chunks start at a few jobs and are
-        then sized from an EWMA of observed per-job durations per spec
-        family.  A chunk's results become durable in the store together,
-        so this also bounds the work an interruption can lose.  Output
-        bytes are identical for every target.
+        results are identical either way.  Chunks start at a few jobs
+        and are then sized to ``CHUNK_TARGET_MS`` of observed work.
     cache_dir / cache:
         Reuse measurements across runs: jobs whose ID is already stored
         are not executed.  ``cache`` takes precedence over ``cache_dir``.
@@ -781,10 +756,6 @@ def run_campaign(
         raise ValueError("max_retries must be >= 0")
     if job_timeout is not None and job_timeout <= 0:
         raise ValueError("job_timeout must be positive")
-    if chunk_target_ms is None:
-        chunk_target_ms = DEFAULT_CHUNK_TARGET_MS
-    elif chunk_target_ms <= 0:
-        raise ValueError("chunk_target_ms must be positive")
     if cache is None and cache_dir is not None:
         cache = open_result_cache(cache_dir)
     if gen_cache is None and gen_cache_dir is not None:
@@ -894,7 +865,6 @@ def run_campaign(
                 max_retries=max_retries,
                 job_timeout=job_timeout,
                 retry_backoff=retry_backoff,
-                chunk_target_ms=chunk_target_ms,
                 record=record,
                 quarantine=quarantine,
                 say=say,

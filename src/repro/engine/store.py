@@ -1,8 +1,7 @@
-"""The result and generation stores: indexed resume and a columnar read path.
+"""The result and generation stores: indexed resume over sharded segments.
 
 Both caches live in sharded segment stores, laid out so membership
-tests, resume scans, and aggregation never parse payloads they do not
-need:
+tests and resume scans never parse payloads they do not need:
 
 ``<cache_dir>/results.shards/`` (resp. ``gencache.shards/``)::
 
@@ -11,17 +10,13 @@ need:
     index.bin                   header + packed (key64, shard, segment,
                                 offset, length, crc) entries
     seg-SS-NNNNNN.jsonl         fixed-size JSONL segments, shard SS
-    seg-SS-NNNNNN.col.npz       columnar sidecar of a *sealed* segment
 
 Records are appended to the active segment of shard
 ``key64(key) % shards``; after every data append one index entry is
 appended, so an intact index answers "is this job cached?" with one
 ``searchsorted`` over a memory-mapped-sized array — no JSON touched.
-When a segment reaches ``segment_records`` records it is *sealed*: the
-results store writes a numpy sidecar holding the cycle/experiment
-columns of every record, which is what the zero-copy aggregation read
-path (:meth:`ShardedResultCache.columns`) loads instead of
-re-materializing measurement dicts.
+When a segment reaches ``segment_records`` records it is *sealed*:
+its appender is closed and later records go to the next segment.
 
 Every record carries a whole-record checksum
 (:func:`~repro.engine.cache.record_check`), and damage degrades to
@@ -45,7 +40,6 @@ import hashlib
 import json
 import os
 import re
-import statistics
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,9 +134,7 @@ class ShardedStore:
     The record shape is supplied by the caller: ``key_field`` names the
     primary-key field and ``valid_record`` is the structural+integrity
     predicate (the same one the legacy loader applies, so migration
-    accepts exactly the records the store would).  ``columnar``
-    optionally maps a sealed segment's records to a dict of numpy arrays
-    for the sidecar.
+    accepts exactly the records the store would).
     """
 
     def __init__(
@@ -153,13 +145,11 @@ class ShardedStore:
         valid_record: Callable[[object], bool],
         shards: int = 8,
         segment_records: int = 4096,
-        columnar: Callable[[list[dict]], dict | None] | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.key_field = key_field
         self._valid = valid_record
-        self._columnar = columnar
         self.shards = shards
         self.segment_records = segment_records
         self._keys = np.empty(0, dtype="<u8")
@@ -186,9 +176,6 @@ class ShardedStore:
 
     def _segment_path(self, shard: int, segment: int) -> Path:
         return self.directory / f"seg-{shard:02d}-{segment:06d}.jsonl"
-
-    def _sidecar_path(self, shard: int, segment: int) -> Path:
-        return self.directory / f"seg-{shard:02d}-{segment:06d}.col.npz"
 
     def _segment_files(self) -> list[tuple[int, int, Path]]:
         found = []
@@ -440,7 +427,7 @@ class ShardedStore:
         counted and the store marked dirty.
         ``heal=True`` (the repair path) rewrites every damaged or torn
         segment to exactly its valid lines — durably, via a fsynced tmp
-        file — rebuilds sealed sidecars, and writes a fresh index.
+        file — and writes a fresh index.
         """
         self._close_handles()
         self._overlay = {}
@@ -455,7 +442,7 @@ class ShardedStore:
             scan = self._scan_segment(path, keep=heal)
             sealed = seg < active[sh]
             if heal and (scan.corrupt or scan.torn):
-                scan = self._rewrite_segment(path, scan, sh, seg, sealed)
+                scan = self._rewrite_segment(path, scan)
             total_corrupt += scan.corrupt
             entry_rows.extend(
                 (key, sh, seg, off, length)
@@ -475,14 +462,7 @@ class ShardedStore:
         if not self._dirty:
             self._write_index(entries)
 
-    def _rewrite_segment(
-        self,
-        path: Path,
-        scan: _SegmentScan,
-        shard: int,
-        segment: int,
-        sealed: bool,
-    ) -> _SegmentScan:
+    def _rewrite_segment(self, path: Path, scan: _SegmentScan) -> _SegmentScan:
         """Atomically compact one segment to its valid lines (durable)."""
         tmp = path.with_name(path.name + ".tmp")
         with tmp.open("wb") as fh:
@@ -491,13 +471,9 @@ class ShardedStore:
             fh.flush()
             os.fsync(fh.fileno())
         tmp.replace(path)
-        if sealed and self._columnar is not None:
-            self._write_sidecar(shard, segment, scan.records or [])
         healed = _SegmentScan()
         offset = 0
-        for (key, _off, length), record, raw in zip(
-            scan.valids, scan.records or [], scan.raws or []
-        ):
+        for key, _off, length in scan.valids:
             healed.valids.append((key, offset, length))
             offset += length + 1
         healed.size = offset
@@ -652,16 +628,6 @@ class ShardedStore:
                 latest[key] = record
         return iter(latest.values())
 
-    def segments(self) -> list[tuple[int, int, Path, bool]]:
-        """Every segment on disk as ``(shard, segment, path, sealed)``."""
-        found = self._segment_files()
-        active: dict[int, int] = {}
-        for sh, seg, _path in found:
-            active[sh] = max(active.get(sh, seg), seg)
-        return [
-            (sh, seg, path, seg < active[sh]) for sh, seg, path in found
-        ]
-
     # -- write path ----------------------------------------------------
 
     def put_record(self, key: str, record: dict, *, flush: bool = True) -> None:
@@ -733,19 +699,12 @@ class ShardedStore:
         return fh
 
     def _seal(self, shard: int) -> None:
-        """Close the active segment and write its columnar sidecar."""
+        """Close the active segment's appender and advance the segment."""
         state = self._shard_state[shard]
         with obs.span(
             "store.seal", metric="store.seal_ms", shard=shard,
             segment=state.segment,
         ):
-            if self._columnar is not None:
-                path = self._segment_path(shard, state.segment)
-                if path.exists():
-                    scan = self._scan_segment(path, keep=True)
-                    self._write_sidecar(
-                        shard, state.segment, scan.records or []
-                    )
             cached = self._appenders.pop(shard, None)
             if cached is not None:
                 cached[1].close()
@@ -754,21 +713,6 @@ class ShardedStore:
             state.records = 0
             state.torn = False
         obs.count("store.seal")
-
-    def _write_sidecar(
-        self, shard: int, segment: int, records: list[dict]
-    ) -> None:
-        sidecar = self._sidecar_path(shard, segment)
-        columns = self._columnar(records) if self._columnar else None
-        if columns is None:
-            sidecar.unlink(missing_ok=True)
-            return
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        with tmp.open("wb") as fh:
-            np.savez(fh, **columns)
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(sidecar)
 
     def _repair(self) -> None:
         with obs.span("store.repair"):
@@ -788,7 +732,7 @@ class ShardedStore:
             self._index_fh = None
 
     def clear(self) -> None:
-        """Drop every record, segment, sidecar, and the index."""
+        """Drop every record, every ``seg-*`` file, and the index."""
         self._close_handles()
         for path in self.directory.iterdir():
             if path.name.startswith("seg-") or path.name == "index.bin":
@@ -807,146 +751,13 @@ class ShardedStore:
         self._close_handles()
 
 
-# -- columnar read path (results) --------------------------------------
-
-#: Aggregator codes stored in sidecars.
-AGGREGATOR_CODES = {"min": 0, "median": 1, "mean": 2}
-
-
-def _result_columnar(records: list[dict]) -> dict | None:
-    """Column arrays for one segment's result records, or ``None``.
-
-    One row per *measurement* (a job's record may hold several); ``rec``
-    is the record's ordinal within the segment so the reader can keep
-    only the latest record per job.  Returns ``None`` when any record is
-    not representable (hand-written or foreign data) — the segment then
-    simply has no sidecar and reads fall back to parsing.
-    """
-    jobs: list[str] = []
-    counts: list[int] = []
-    reps: list[float] = []
-    loops: list[float] = []
-    aggs: list[int] = []
-    recs: list[int] = []
-    tsc_parts: list[list[float]] = []
-    for ordinal, record in enumerate(records):
-        job_id = record.get("job_id")
-        measurements = record.get("measurements")
-        if not isinstance(job_id, str) or not isinstance(measurements, list):
-            return None
-        for m in measurements:
-            if not isinstance(m, dict):
-                return None
-            tsc = m.get("experiment_tsc")
-            repetitions = m.get("repetitions")
-            loop_iterations = m.get("loop_iterations")
-            code = AGGREGATOR_CODES.get(m.get("aggregator"))
-            if (
-                not isinstance(tsc, list)
-                or not tsc
-                or not all(
-                    isinstance(t, (int, float)) and not isinstance(t, bool)
-                    for t in tsc
-                )
-                or not isinstance(repetitions, (int, float))
-                or not isinstance(loop_iterations, (int, float))
-                or isinstance(repetitions, bool)
-                or isinstance(loop_iterations, bool)
-                or code is None
-            ):
-                return None
-            jobs.append(job_id)
-            counts.append(len(tsc))
-            reps.append(float(repetitions))
-            loops.append(float(loop_iterations))
-            aggs.append(code)
-            recs.append(ordinal)
-            tsc_parts.append(tsc)
-    flat = (
-        np.concatenate([np.asarray(t, dtype=np.float64) for t in tsc_parts])
-        if tsc_parts
-        else np.empty(0, dtype=np.float64)
-    )
-    return {
-        "jobs": np.array(jobs, dtype=str),
-        "tsc": flat,
-        "counts": np.asarray(counts, dtype=np.int64),
-        "reps": np.asarray(reps, dtype=np.float64),
-        "loops": np.asarray(loops, dtype=np.float64),
-        "aggs": np.asarray(aggs, dtype=np.uint8),
-        "rec": np.asarray(recs, dtype=np.int64),
-    }
-
-
-@dataclass(slots=True)
-class StoreColumns:
-    """One row per stored measurement, as flat numpy columns.
-
-    ``experiment_tsc`` is the concatenation of every row's experiment
-    samples; ``counts[i]`` says how many belong to row ``i``.  This is
-    the zero-copy aggregation shape: reductions run over the arrays as
-    loaded from the sidecars, without re-materializing measurement
-    dicts.
-    """
-
-    job_ids: np.ndarray
-    experiment_tsc: np.ndarray
-    counts: np.ndarray
-    repetitions: np.ndarray
-    loop_iterations: np.ndarray
-    aggregators: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.job_ids)
-
-    def cycles_per_iteration(self) -> np.ndarray:
-        """Every row's aggregated cycles-per-iteration, vectorized.
-
-        Mirrors ``MeasurementSeries.cycles_per_iteration_array``: a
-        uniform min/median series reduces over the reshaped experiment
-        matrix in one pass; ragged or mean-aggregated rows fall back to
-        the scalar path (``fmean`` for mean, for bit-identity with the
-        measurement property).
-        """
-        n = len(self.job_ids)
-        if n == 0:
-            return np.empty(0)
-        counts = self.counts
-        uniform = bool(np.all(counts == counts[0])) and bool(
-            np.all(self.aggregators == self.aggregators[0])
-        )
-        code = int(self.aggregators[0]) if uniform else -1
-        if uniform and code != AGGREGATOR_CODES["mean"]:
-            matrix = self.experiment_tsc.reshape(n, int(counts[0]))
-            aggregated = (
-                matrix.min(axis=1)
-                if code == AGGREGATOR_CODES["min"]
-                else np.median(matrix, axis=1)
-            )
-            return aggregated / self.repetitions / self.loop_iterations
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        out = np.empty(n)
-        for i in range(n):
-            window = self.experiment_tsc[offsets[i] : offsets[i + 1]]
-            code = int(self.aggregators[i])
-            if code == AGGREGATOR_CODES["min"]:
-                value = float(window.min())
-            elif code == AGGREGATOR_CODES["median"]:
-                value = float(np.median(window))
-            else:
-                value = statistics.fmean(window.tolist())
-            out[i] = value / self.repetitions[i] / self.loop_iterations[i]
-        return out
-
-
 # -- cache-compatible wrappers -----------------------------------------
 
 
 class ShardedResultCache:
     """Measurement dicts by job ID, stored in ``<dir>/results.shards/``.
 
-    Hit/miss/store accounting in :attr:`stats`; :meth:`columns` is the
-    columnar aggregation read path.
+    Hit/miss/store accounting in :attr:`stats`.
     """
 
     DIRNAME = "results.shards"
@@ -967,7 +778,6 @@ class ShardedResultCache:
             valid_record=valid_result_record,
             shards=shards,
             segment_records=segment_records or self.SEGMENT_RECORDS,
-            columnar=_result_columnar,
         )
 
     @property
@@ -1006,16 +816,7 @@ class ShardedResultCache:
         mode: str = "",
     ) -> None:
         """Store and immediately flush one job's measurements."""
-        self._store.put_record(
-            job_id,
-            {
-                "job_id": job_id,
-                "kernel": kernel,
-                "mode": mode,
-                "measurements": measurements,
-            },
-        )
-        self.stats.stores += 1
+        self.put_many([(job_id, measurements, kernel, mode)])
 
     def put_many(
         self, entries: list[tuple[str, list[dict], str, str]]
@@ -1041,86 +842,14 @@ class ShardedResultCache:
         self._store.clear()
         self.stats = CacheStats()
 
-    def columns(self) -> StoreColumns:
-        """Every stored measurement as flat columns (later records win).
-
-        Sealed segments load straight from their numpy sidecars; the
-        active segment (and any segment whose sidecar is missing or
-        unreadable) parses on the fly.
-        """
-        parts: list[tuple[dict, np.ndarray]] = []
-        store = self._store
-        for shard, segment, path, sealed in store.segments():
-            columns = None
-            if sealed:
-                sidecar = store._sidecar_path(shard, segment)
-                if sidecar.exists():
-                    try:
-                        with np.load(sidecar) as loaded:
-                            columns = {k: loaded[k] for k in loaded.files}
-                    except (OSError, ValueError, KeyError):
-                        columns = None
-            if columns is None:
-                scan = store._scan_segment(path, keep=True)
-                columns = _result_columnar(scan.records or [])
-                if columns is None:
-                    raise ValueError(
-                        f"segment {path.name} holds records the columnar "
-                        "reader cannot represent"
-                    )
-            # Global record ordinal: duplicates of a job always land in
-            # the same shard, so (segment, in-segment ordinal) orders
-            # them; segments never exceed segment_records records.
-            rec_global = (
-                columns["rec"] + segment * (store.segment_records + 1)
-            )
-            parts.append((columns, rec_global))
-        if not parts:
-            empty = np.empty(0)
-            return StoreColumns(
-                np.empty(0, dtype=str), empty, np.empty(0, np.int64),
-                empty, empty, np.empty(0, np.uint8),
-            )
-        jobs = np.concatenate([c["jobs"] for c, _r in parts])
-        counts = np.concatenate([c["counts"] for c, _r in parts])
-        reps = np.concatenate([c["reps"] for c, _r in parts])
-        loops = np.concatenate([c["loops"] for c, _r in parts])
-        aggs = np.concatenate([c["aggs"] for c, _r in parts])
-        tsc = np.concatenate([c["tsc"] for c, _r in parts])
-        recs = np.concatenate([r for _c, r in parts])
-        keep = _latest_record_mask(jobs, recs)
-        if not bool(np.all(keep)):
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            starts = offsets[:-1][keep]
-            lengths = counts[keep]
-            total = int(lengths.sum())
-            row = np.repeat(np.arange(len(lengths)), lengths)
-            out_offsets = np.concatenate(([0], np.cumsum(lengths)))
-            index = starts[row] + (np.arange(total) - out_offsets[row])
-            tsc = tsc[index]
-            jobs, counts = jobs[keep], counts[keep]
-            reps, loops, aggs = reps[keep], loops[keep], aggs[keep]
-        return StoreColumns(jobs, tsc, counts, reps, loops, aggs)
-
-
-def _latest_record_mask(jobs: np.ndarray, recs: np.ndarray) -> np.ndarray:
-    """Rows belonging to each job's latest record (re-measures win)."""
-    if not len(jobs):
-        return np.ones(0, dtype=bool)
-    uniq, inverse = np.unique(jobs, return_inverse=True)
-    best = np.full(len(uniq), -1, dtype=np.int64)
-    np.maximum.at(best, inverse, recs)
-    return recs == best[inverse]
-
 
 class ShardedGenerationCache:
     """Rendered variants by ``(spec, creator options)``, stored in
     ``<dir>/gencache.shards/`` (see :mod:`repro.engine.gencache`).
 
     Generation records are few but large (every rendered variant of an
-    expansion), so segments are small and there is no columnar sidecar —
-    the win here is indexed membership and torn-tail isolation per
-    segment.
+    expansion), so segments are small — the win here is indexed
+    membership and torn-tail isolation per segment.
     """
 
     DIRNAME = "gencache.shards"

@@ -13,7 +13,7 @@ import pytest
 
 from repro.characterize import run_characterization
 from repro.characterize.driver import characterization_campaign
-from repro.engine import FaultPlan, run_campaign
+from repro.engine import FaultPlan, run_campaign, runner
 from repro.machine import nehalem_2s_x5650
 from tests.legacy_jsonl import to_legacy
 
@@ -34,8 +34,12 @@ def reference():
 class TestDeterminism:
     @pytest.mark.parametrize("jobs", (1, 2))
     @pytest.mark.parametrize("chunk_target_ms", (1, 7, None))
-    def test_byte_identical_across_dispatch(self, reference, jobs, chunk_target_ms):
-        result = _characterize(jobs=jobs, chunk_target_ms=chunk_target_ms)
+    def test_byte_identical_across_dispatch(
+        self, reference, monkeypatch, jobs, chunk_target_ms
+    ):
+        if chunk_target_ms is not None:
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        result = _characterize(jobs=jobs)
         assert result.table.to_json().encode() == reference
 
     @pytest.mark.parametrize("origin", ("jsonl", "sharded"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign
+from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign, runner
 from repro.launcher import LauncherOptions
 from repro.launcher.csvout import QUALITY_COLUMNS, read_csv
 from tests.legacy_jsonl import to_legacy
@@ -58,9 +58,11 @@ class TestAdaptiveDeterminism:
     @pytest.mark.parametrize("jobs", (1, 2))
     @pytest.mark.parametrize("chunk_target_ms", (1, 3, None))
     def test_byte_identical_across_dispatch(
-        self, clean, tmp_path, jobs, chunk_target_ms
+        self, clean, tmp_path, monkeypatch, jobs, chunk_target_ms
     ):
-        run = run_campaign(_campaign(), jobs=jobs, chunk_target_ms=chunk_target_ms)
+        if chunk_target_ms is not None:
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        run = run_campaign(_campaign(), jobs=jobs)
         tag = f"{jobs}_{chunk_target_ms}"
         assert run.write_csv(tmp_path / f"{tag}.csv").read_bytes() == clean["csv"]
         assert (

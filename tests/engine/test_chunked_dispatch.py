@@ -10,7 +10,7 @@ the same values.
 
 import pytest
 
-from repro.engine import Campaign, SweepSpec, run_campaign
+from repro.engine import Campaign, SweepSpec, run_campaign, runner
 from repro.engine.runner import (
     _DYNAMIC_MAX_CHUNK,
     _SEED_CHUNK_SIZE,
@@ -38,18 +38,14 @@ def sweep_campaign():
 
 class TestResolveChunkSize:
     """A chunk's size is resolved by the planner: seed chunks first, then
-    ``chunk_target_ms`` divided by the observed per-job cost, clipped to
+    ``CHUNK_TARGET_MS`` divided by the observed per-job cost, clipped to
     [1, ``_DYNAMIC_MAX_CHUNK``] and to the jobs left."""
 
-    def test_explicit_size_wins(self, sweep_campaign):
-        jobs = sweep_campaign.job_list()
-        planner = _ChunkPlanner(jobs, target_ms=20.0)
+    def test_explicit_size_wins(self, sweep_campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 20.0)
+        planner = _ChunkPlanner(sweep_campaign.job_list())
         planner.observe(None, [2.0])
         assert len(planner.carve().jobs) == 10  # 20 ms / 2 ms per job
-
-    def test_explicit_size_validated(self, sweep_campaign):
-        with pytest.raises(ValueError, match="chunk_target_ms"):
-            run_campaign(sweep_campaign, chunk_target_ms=-1.0)
 
     def test_auto_targets_a_few_chunks_per_worker(self, sweep_campaign):
         n_jobs = len(sweep_campaign.job_list())
@@ -57,14 +53,16 @@ class TestResolveChunkSize:
         # One seed chunk per worker, then chunks grow past the seed size.
         assert 2 <= run.stats.chunks < n_jobs // _SEED_CHUNK_SIZE
 
-    def test_auto_never_below_one(self, sweep_campaign):
-        planner = _ChunkPlanner(sweep_campaign.job_list(), target_ms=0.001)
+    def test_auto_never_below_one(self, sweep_campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+        planner = _ChunkPlanner(sweep_campaign.job_list())
         planner.observe(None, [1e12])
         assert len(planner.carve().jobs) == 1
 
-    def test_auto_capped(self, sweep_campaign):
+    def test_auto_capped(self, sweep_campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
         many = [sweep_campaign.job_list()[0]] * (3 * _DYNAMIC_MAX_CHUNK)
-        planner = _ChunkPlanner(many, target_ms=1e9)
+        planner = _ChunkPlanner(many)
         planner.observe(None, [0.001])
         assert len(planner.carve().jobs) == _DYNAMIC_MAX_CHUNK
 
@@ -84,9 +82,10 @@ class TestResolveChunkSize:
         assert wide.stats.chunks == 1  # the seed chunk holds all three jobs
         assert wide.measurements() == serial.measurements()
 
-    def test_explicit_size_may_exceed_job_count(self, sweep_campaign):
+    def test_explicit_size_may_exceed_job_count(self, sweep_campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
         jobs = sweep_campaign.job_list()
-        planner = _ChunkPlanner(jobs, target_ms=1e9)
+        planner = _ChunkPlanner(jobs)
         first = planner.carve()
         planner.observe(None, [1.0] * len(first.jobs))
         rest = planner.carve()
@@ -111,12 +110,12 @@ class TestChunkedCampaignDeterminism:
     @pytest.mark.parametrize("jobs", (1, 4))
     @pytest.mark.parametrize("chunk_target_ms", (0.001, 3, None, 1e9))
     def test_every_chunking_byte_identical(
-        self, sweep_campaign, tmp_path, chunk_target_ms, jobs
+        self, sweep_campaign, tmp_path, monkeypatch, chunk_target_ms, jobs
     ):
         serial = run_campaign(sweep_campaign, jobs=1)
-        chunked = run_campaign(
-            sweep_campaign, jobs=jobs, chunk_target_ms=chunk_target_ms
-        )
+        if chunk_target_ms is not None:
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        chunked = run_campaign(sweep_campaign, jobs=jobs)
         tag = f"{jobs}_{chunk_target_ms}"
         a = serial.write_csv(tmp_path / "serial.csv")
         b = chunked.write_csv(tmp_path / f"chunk_{tag}.csv")
@@ -125,28 +124,33 @@ class TestChunkedCampaignDeterminism:
         bj = chunked.write_jsonl(tmp_path / f"chunk_{tag}.jsonl")
         assert aj.read_bytes() == bj.read_bytes()
 
-    def test_stats_record_chunk_size(self, sweep_campaign):
+    def test_stats_record_chunk_size(self, sweep_campaign, monkeypatch):
         """``RunStats.chunks`` counts the chunks actually dispatched, so
         it tracks chunk size: tiny targets mean single-job chunks."""
         n_jobs = len(sweep_campaign.job_list())
+        default_target = runner.CHUNK_TARGET_MS
         for jobs in (1, 2):
-            tiny = run_campaign(sweep_campaign, jobs=jobs, chunk_target_ms=0.001)
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+            tiny = run_campaign(sweep_campaign, jobs=jobs)
             # Only each worker's first (seed) chunk batches several jobs.
             assert tiny.stats.chunks >= n_jobs - 3 * jobs
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", default_target)
             default = run_campaign(sweep_campaign, jobs=jobs)
             assert 1 <= default.stats.chunks < tiny.stats.chunks
             assert f"chunks={default.stats.chunks}" in repr(default.stats)
 
     def test_invalid_chunk_size_rejected(self, sweep_campaign):
-        with pytest.raises(ValueError, match="chunk_target_ms"):
-            run_campaign(sweep_campaign, jobs=2, chunk_target_ms=0.0)
-        with pytest.raises(TypeError):  # the fixed-size knob is gone
+        # Chunk sizing has no caller-facing knobs left.
+        with pytest.raises(TypeError):
+            run_campaign(sweep_campaign, jobs=2, chunk_target_ms=1.0)
+        with pytest.raises(TypeError):
             run_campaign(sweep_campaign, jobs=2, chunk_size=3)
 
-    def test_chunked_run_fills_cache_like_serial(self, sweep_campaign, tmp_path):
-        chunked = run_campaign(
-            sweep_campaign, jobs=4, chunk_target_ms=0.001, cache_dir=tmp_path / "c"
-        )
+    def test_chunked_run_fills_cache_like_serial(
+        self, sweep_campaign, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+        chunked = run_campaign(sweep_campaign, jobs=4, cache_dir=tmp_path / "c")
         warm = run_campaign(sweep_campaign, jobs=1, cache_dir=tmp_path / "c")
         assert warm.stats.executed == 0
         assert warm.measurements() == chunked.measurements()
@@ -155,8 +159,6 @@ class TestChunkedCampaignDeterminism:
 class TestKernelMemo:
     def test_memo_shared_across_option_sweep(self, sweep_campaign):
         """A chunk sweeping options over one kernel normalizes it once."""
-        from repro.engine import runner
-
         all_jobs = sweep_campaign.job_list()
         jobs = [j for j in all_jobs if j.kernel_name == all_jobs[0].kernel_name]
         assert len(jobs) == 3  # one kernel, three trip counts
@@ -166,8 +168,6 @@ class TestKernelMemo:
         assert set(runner._SIM_MEMO) == digests
 
     def test_memo_bounded(self, sweep_campaign):
-        from repro.engine import runner
-
         job = sweep_campaign.job_list()[0]
         runner._SIM_MEMO.clear()
         try:
@@ -184,8 +184,6 @@ class TestKernelMemo:
         The old behaviour cleared the whole memo at capacity, throwing
         away every warm entry right when a long sweep needed them most.
         """
-        from repro.engine import runner
-
         job = sweep_campaign.job_list()[0]
         runner._SIM_MEMO.clear()
         try:
@@ -207,8 +205,6 @@ class TestKernelMemo:
         order matters — an entry the current campaign keeps touching
         must outlive fakes that were merely inserted after it.
         """
-        from repro.engine import runner
-
         all_jobs = sweep_campaign.job_list()
         job_a = all_jobs[0]
         job_b = next(
@@ -228,11 +224,9 @@ class TestKernelMemo:
         finally:
             runner._SIM_MEMO.clear()
 
-    def test_memo_capacity_env_override(self, sweep_campaign, monkeypatch):
-        """``REPRO_SIM_MEMO_MAX`` bounds the memo, re-read per insert."""
-        from repro.engine import runner
-
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "2")
+    def test_memo_capacity_bounds_the_memo(self, sweep_campaign, monkeypatch):
+        """``_SIM_MEMO_MAX`` bounds the memo, read per insert."""
+        monkeypatch.setattr(runner, "_SIM_MEMO_MAX", 2)
         jobs = sweep_campaign.job_list()[:6]
         runner._SIM_MEMO.clear()
         try:
@@ -241,41 +235,13 @@ class TestKernelMemo:
         finally:
             runner._SIM_MEMO.clear()
 
-
-class TestMemoCapacityKnobs:
-    def test_default_when_unset(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.delenv("REPRO_SIM_MEMO_MAX", raising=False)
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 7
-
-    def test_env_value_wins(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "31")
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 31
-
-    def test_invalid_value_falls_back(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "many")
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 7
-
-    def test_floor_of_one(self, monkeypatch):
-        from repro.engine.runner import _memo_capacity
-
-        monkeypatch.setenv("REPRO_SIM_MEMO_MAX", "0")
-        assert _memo_capacity("REPRO_SIM_MEMO_MAX", 7) == 1
-
-    def test_gen_memo_env_override_and_lru(self, monkeypatch):
-        """The generation memo honors ``REPRO_GEN_MEMO_MAX`` and keeps
+    def test_gen_memo_capacity_and_lru(self, monkeypatch):
+        """The generation memo honors ``_GEN_MEMO_MAX`` and keeps
         recently hit expansions when it evicts."""
         from repro.engine import generation
         from repro.kernels import loadstore_family
         from repro.kernels.reduction import dot_product_spec
-        from repro.launcher import LauncherOptions
         from repro.machine import nehalem_2s_x5650
-        from repro.engine import Campaign, SweepSpec
 
         base = LauncherOptions(array_bytes=8 * 1024, trip_count=512)
         campaign = Campaign(
@@ -289,7 +255,7 @@ class TestMemoCapacityKnobs:
         refs = [j.kernel for j in campaign.job_list(defer=True)]
         ref_a = refs[0]
         ref_b = next(r for r in refs if r.memo_key() != ref_a.memo_key())
-        monkeypatch.setenv("REPRO_GEN_MEMO_MAX", "1")
+        monkeypatch.setattr(generation, "_GEN_MEMO_MAX", 1)
         generation._GEN_MEMO.clear()
         try:
             generation.resolve_kernel_ref(ref_a)

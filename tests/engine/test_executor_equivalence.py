@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign
+from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign, runner
 from repro.engine.pool import WorkerPool, shutdown_worker_pool
 from repro.launcher import LauncherOptions
 
@@ -101,12 +101,13 @@ def test_raising_job_in_an_inline_chunk_quarantines_only_itself(
 ):
     """The chunk the raise fails is split, and its other jobs still land."""
     clean = run_campaign(campaign, jobs=1)
+    # Every chunk after the seed spans the grid.
+    monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
     run = _run(
         campaign,
         "inline",
         monkeypatch,
         faults=FaultPlan.for_job(victim.job_id, "raise"),
-        chunk_target_ms=1e9,  # every chunk after the seed spans the grid
     )
     assert [f.job_id for f in run.failures] == [victim.job_id]
     assert set(run.results) == set(clean.results) - {victim.job_id}

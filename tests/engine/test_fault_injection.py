@@ -15,7 +15,15 @@ import json
 
 import pytest
 
-from repro.engine import Campaign, CampaignRun, Fault, FaultPlan, SweepSpec, run_campaign
+from repro.engine import (
+    Campaign,
+    CampaignRun,
+    Fault,
+    FaultPlan,
+    SweepSpec,
+    run_campaign,
+    runner,
+)
 from repro.engine.faults import GARBAGE_PAYLOAD, InjectedFault
 from repro.engine.pool import WorkerPool, shutdown_worker_pool
 from repro.launcher import LauncherOptions
@@ -90,13 +98,14 @@ class TestQuarantine:
         "jobs,chunk_target_ms", [(1, None), (4, None), (4, 1), (4, 3), (4, 10_000)]
     )
     def test_poisoned_job_degrades_to_n_minus_1(
-        self, campaign, clean, victim, tmp_path, jobs, chunk_target_ms
+        self, campaign, clean, victim, tmp_path, monkeypatch, jobs, chunk_target_ms
     ):
         faults = FaultPlan.for_job(victim.job_id, "raise")
+        if chunk_target_ms is not None:
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
         run = run_campaign(
             campaign,
             jobs=jobs,
-            chunk_target_ms=chunk_target_ms,
             faults=faults,
             max_retries=1,
             retry_backoff=0.0,

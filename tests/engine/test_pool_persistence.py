@@ -16,7 +16,7 @@ import multiprocessing
 import pytest
 
 from repro import obs
-from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign
+from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign, runner
 from repro.engine.pool import (
     InProcessExecutor,
     WorkerPool,
@@ -81,21 +81,19 @@ class TestChunkPolicyResolution:
         with pytest.raises(TypeError):
             run_campaign(campaign, jobs=1, chunk_policy="static")
 
-    def test_run_records_policy(self, campaign):
+    def test_run_records_policy(self, campaign, monkeypatch):
         """Inline runs chunk too, and both executors record their chunks."""
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
         for jobs in (1, 2):
-            run = run_campaign(campaign, jobs=jobs, chunk_target_ms=0.001)
+            run = run_campaign(campaign, jobs=jobs)
             assert run.stats.chunks > len(campaign.job_list()) // 2
-
-    def test_invalid_target_rejected(self, campaign):
-        with pytest.raises(ValueError, match="chunk_target_ms"):
-            run_campaign(campaign, jobs=1, chunk_target_ms=0.0)
 
 
 class TestDynamicPlanner:
-    def test_seeds_small_then_tracks_target(self, campaign):
+    def test_seeds_small_then_tracks_target(self, campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 100.0)
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs, target_ms=100.0)
+        planner = _ChunkPlanner(jobs)
         first = planner.carve()
         assert len(first.jobs) == _SEED_CHUNK_SIZE
         # Fast jobs (2ms each): chunks should grow toward 100ms/2ms = 50.
@@ -103,28 +101,30 @@ class TestDynamicPlanner:
         grown = planner.carve()
         assert len(grown.jobs) == min(50, len(jobs) - _SEED_CHUNK_SIZE)
 
-    def test_slow_jobs_shrink_chunks_to_one(self, campaign):
+    def test_slow_jobs_shrink_chunks_to_one(self, campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 100.0)
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs, target_ms=100.0)
+        planner = _ChunkPlanner(jobs)
         planner.observe(_gen_group(jobs[0]), [10_000.0])
         assert len(planner.carve().jobs) == 1
 
-    def test_chunk_size_is_capped(self, campaign):
+    def test_chunk_size_is_capped(self, campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs, target_ms=1e9)
+        planner = _ChunkPlanner(jobs)
         planner.observe(_gen_group(jobs[0]), [0.001])
         assert len(planner.carve().jobs) <= _DYNAMIC_MAX_CHUNK
 
     def test_planner_drains_every_job_once(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs, target_ms=250.0)
+        planner = _ChunkPlanner(jobs)
         carved = []
         while not planner.exhausted():
             carved.extend(planner.carve().jobs)
         assert carved == jobs
         assert planner.carve() is None
 
-    def test_chunks_never_span_spec_families(self):
+    def test_chunks_never_span_spec_families(self, monkeypatch):
         from repro.kernels import loadstore_family
         from repro.kernels.reduction import dot_product_spec
         from repro.machine import nehalem_2s_x5650
@@ -140,7 +140,8 @@ class TestDynamicPlanner:
         )
         jobs = two_specs.job_list(defer=True)
         assert len({_gen_group(j) for j in jobs}) == 2
-        planner = _ChunkPlanner(jobs, target_ms=1e9)
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
+        planner = _ChunkPlanner(jobs)
         planner.observe(_gen_group(jobs[0]), [0.001])  # huge chunks allowed
         while not planner.exhausted():
             unit = planner.carve()
@@ -154,9 +155,12 @@ class TestPoolReuse:
     )
     @pytest.mark.parametrize("origin", ("jsonl", "sharded"))
     def test_fresh_and_reused_pools_byte_identical(
-        self, campaign, serial_bytes, tmp_path, chunk_target_ms, origin
+        self, campaign, serial_bytes, tmp_path, monkeypatch, chunk_target_ms,
+        origin,
     ):
-        kwargs = dict(jobs=2, chunk_target_ms=chunk_target_ms)
+        if chunk_target_ms is not None:
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        kwargs = dict(jobs=2)
         shutdown_worker_pool()
         fresh = run_campaign(
             campaign, cache_dir=tmp_path / "fresh", **kwargs

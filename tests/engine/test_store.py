@@ -1,11 +1,9 @@
-"""Sharded store tests: layout, index, sealing, columns, migration."""
+"""Sharded store tests: layout, index, sealing, migration."""
 
 from __future__ import annotations
 
 import json
-import statistics
 
-import numpy as np
 import pytest
 
 from repro.engine import (
@@ -106,12 +104,21 @@ class TestSegments:
             lines = [l for l in seg.read_bytes().split(b"\n") if l]
             assert len(lines) == 5
 
-    def test_sealed_segments_have_sidecars(self, tmp_path, small):
-        for i in range(12):
+    def test_sealing_does_not_parse_payloads(self, tmp_path, small, monkeypatch):
+        """Sealing only closes the full segment: its records were just
+        written, so nothing re-reads or re-parses them."""
+        for i in range(5):
             small.put(f"j{i}", [meas(i)])
-        sidecars = sorted(tmp_path.glob("results.shards/seg-*.col.npz"))
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("sealing parsed JSON")
+
+        monkeypatch.setattr(json, "loads", forbidden)
+        small.put("j5", [meas(5)])  # segment 0 is full: this put seals it
+        monkeypatch.undo()
         segments = sorted(tmp_path.glob("results.shards/seg-*.jsonl"))
-        assert len(sidecars) == len(segments) - 1  # active segment has none
+        assert len(segments) == 2
+        assert small.get("j5") == [meas(5)]
 
     def test_membership_does_not_parse_payloads(self, tmp_path, small):
         for i in range(12):
@@ -193,85 +200,6 @@ class TestIndexRecovery:
         for i in range(11):
             if i not in damaged:
                 assert healed.get(f"j{i}") == [meas(i)]
-
-
-class TestColumns:
-    def test_columns_match_scalar_aggregation(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=1, segment_records=4)
-        for i in range(10):
-            cache.put(f"j{i}", [meas(i)])
-        cols = cache.columns()
-        assert len(cols) == 10
-        values = cols.cycles_per_iteration()
-        by_id = dict(zip(cols.job_ids, values))
-        for i in range(10):
-            expected = min(meas(i)["experiment_tsc"]) / 4.0 / 8.0
-            assert by_id[f"j{i}"] == pytest.approx(expected, abs=0, rel=0)
-
-    @pytest.mark.parametrize("aggregator", ("min", "median", "mean"))
-    def test_every_aggregator_supported(self, tmp_path, aggregator):
-        cache = ShardedResultCache(tmp_path, shards=1, segment_records=3)
-        for i in range(7):
-            cache.put(f"j{i}", [meas(i, n=4, aggregator=aggregator)])
-        cols = cache.columns()
-        by_id = dict(zip(cols.job_ids, cols.cycles_per_iteration()))
-        reduce = {
-            "min": min,
-            "median": lambda t: float(np.median(t)),
-            "mean": statistics.fmean,
-        }[aggregator]
-        for i in range(7):
-            tsc = meas(i, n=4)["experiment_tsc"]
-            assert by_id[f"j{i}"] == reduce(tsc) / 4.0 / 8.0
-
-    def test_ragged_series_fall_back_per_row(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=1, segment_records=10)
-        cache.put("a", [meas(1, n=2)])
-        cache.put("b", [meas(2, n=5)])
-        cols = cache.columns()
-        by_id = dict(zip(cols.job_ids, cols.cycles_per_iteration()))
-        assert by_id["a"] == min(meas(1, n=2)["experiment_tsc"]) / 32.0
-        assert by_id["b"] == min(meas(2, n=5)["experiment_tsc"]) / 32.0
-
-    def test_columns_identical_with_and_without_sidecars(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=1, segment_records=4)
-        for i in range(13):
-            cache.put(f"j{i}", [meas(i)])
-        with_sidecars = cache.columns()
-        for sidecar in tmp_path.glob("results.shards/*.col.npz"):
-            sidecar.unlink()
-        parsed = ShardedResultCache(tmp_path).columns()
-        order_a = np.argsort(with_sidecars.job_ids)
-        order_b = np.argsort(parsed.job_ids)
-        assert list(with_sidecars.job_ids[order_a]) == list(
-            parsed.job_ids[order_b]
-        )
-        np.testing.assert_array_equal(
-            with_sidecars.cycles_per_iteration()[order_a],
-            parsed.cycles_per_iteration()[order_b],
-        )
-
-    def test_remeasured_job_uses_latest_record(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=1, segment_records=3)
-        for i in range(7):
-            cache.put(f"j{i}", [meas(i)])
-        cache.put("j1", [meas(91)])  # re-measure, lands segments later
-        cols = ShardedResultCache(tmp_path).columns()
-        assert len(cols) == 7  # one row per job, not per write
-        by_id = dict(zip(cols.job_ids, cols.cycles_per_iteration()))
-        assert by_id["j1"] == min(meas(91)["experiment_tsc"]) / 32.0
-
-    def test_multi_measurement_records_keep_all_rows(self, tmp_path):
-        cache = ShardedResultCache(tmp_path, shards=1, segment_records=10)
-        cache.put("multi", [meas(1), meas(2), meas(3)])
-        cols = cache.columns()
-        assert len(cols) == 3
-        assert set(cols.job_ids) == {"multi"}
-
-    def test_empty_store_gives_empty_columns(self, small):
-        cols = small.columns()
-        assert len(cols) == 0
-        assert cols.cycles_per_iteration().shape == (0,)
 
 
 class TestMigration:

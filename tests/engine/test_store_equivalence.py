@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Campaign, SweepSpec, open_generation_cache, run_campaign
+from repro.engine import (
+    Campaign,
+    SweepSpec,
+    open_generation_cache,
+    run_campaign,
+    runner,
+)
 from repro.kernels import loadstore_family
 from repro.launcher import LauncherOptions
 from repro.machine import nehalem_2s_x5650
@@ -40,14 +46,14 @@ def _output_bytes(run, directory, tag):
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("chunk_target_ms", (1, 3, None))
-    def test_backends_byte_identical(self, tmp_path, chunk_target_ms):
+    def test_backends_byte_identical(self, tmp_path, monkeypatch, chunk_target_ms):
         """A cold pool run, a warm inline run from its store, and a warm
         run from the same store migrated out of legacy JSONL files all
         write the same bytes."""
         dirs = dict(cache_dir=tmp_path / "cache", gen_cache_dir=tmp_path / "gen")
-        cold = run_campaign(
-            _campaign(), jobs=2, chunk_target_ms=chunk_target_ms, **dirs
-        )
+        if chunk_target_ms is not None:
+            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        cold = run_campaign(_campaign(), jobs=2, **dirs)
         expected = _output_bytes(cold, tmp_path, "cold")
         warm = run_campaign(_campaign(), jobs=1, **dirs)
         to_legacy(tmp_path / "cache")
@@ -108,3 +114,44 @@ class TestBackendEquivalence:
         resumed = run_campaign(_campaign(), cache=cache)
         assert resumed.stats.executed == 0
         assert resumed.stats.cache_hits == len(jobs)
+
+    def test_leftover_sidecars_are_ignored(self, tmp_path):
+        """Earlier releases wrote a ``seg-*.col.npz`` columnar sidecar
+        next to each sealed segment.  A store still holding them opens,
+        serves every record, resumes byte-identically, and ``clear()``
+        removes them."""
+        import numpy as np
+
+        from repro.engine import ShardedResultCache
+
+        cache_dir = tmp_path / "cache"
+        # Tiny segments so the cold run seals some, as a real store would.
+        ShardedResultCache(cache_dir, shards=1, segment_records=3)
+        cold = run_campaign(_campaign(), cache_dir=cache_dir)
+        shards = cache_dir / ShardedResultCache.DIRNAME
+        segments = sorted(shards.glob("seg-*.jsonl"))
+        assert len(segments) > 1
+        leftovers = []
+        for segment in segments[:-1]:
+            sidecar = segment.with_name(segment.name[: -len(".jsonl")] + ".col.npz")
+            with sidecar.open("wb") as fh:
+                np.savez(fh, jobs=np.array(["x"]), tsc=np.zeros(3))
+            leftovers.append(sidecar)
+        stray_tmp = leftovers[0].with_name(leftovers[0].name + ".tmp")
+        stray_tmp.write_bytes(b"torn sidecar")
+        leftovers.append(stray_tmp)
+
+        reopened = ShardedResultCache(cache_dir)
+        assert reopened.corrupt_lines == 0
+        assert len(reopened) == len(cold.results)
+        for job_id in cold.results:
+            assert reopened.get(job_id) is not None
+        warm = run_campaign(_campaign(), cache=reopened)
+        assert warm.stats.executed == 0
+        assert _output_bytes(warm, tmp_path, "warm") == _output_bytes(
+            cold, tmp_path, "cold"
+        )
+        assert all(path.exists() for path in leftovers)
+        reopened.clear()
+        assert not any(path.exists() for path in leftovers)
+        assert not list(shards.glob("seg-*"))
