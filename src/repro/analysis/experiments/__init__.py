@@ -72,8 +72,20 @@ def available_experiments() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def run_experiment(name: str, **kwargs) -> ExperimentResult:
-    """Run a registered experiment by exhibit id (e.g. ``"fig11"``)."""
+def run_experiment(
+    name: str,
+    *,
+    quick: bool = False,
+    rciw_target: float | None = None,
+    max_experiments: int | None = None,
+    **engine: object,
+) -> ExperimentResult:
+    """Run a registered experiment by exhibit id (e.g. ``"fig11"``).
+
+    ``engine`` holds ``run_campaign`` keywords (``jobs``, ``cache_dir``,
+    ``resume``, ...).  Campaign-backed experiments hand them to
+    ``run_campaign`` unchanged, so a misspelt setting raises there.
+    """
     from repro import obs
 
     _load_all()
@@ -84,7 +96,12 @@ def run_experiment(name: str, **kwargs) -> ExperimentResult:
             f"unknown experiment {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
     with obs.span(f"experiment:{name}", metric="analysis.experiment.duration_ms"):
-        return fn(**kwargs)
+        return fn(
+            quick=quick,
+            rciw_target=rciw_target,
+            max_experiments=max_experiments,
+            engine=engine,
+        )
 
 
 def _load_all() -> None:

@@ -22,38 +22,21 @@ def _ram_load_kernel(creator: MicroCreator):
     )
 
 
-def _grid(
-    name, kernel, base, axes, *, machine,
-    jobs=1, cache_dir=None, resume=True,
-    max_retries=2, job_timeout=None, gen_cache_dir=None,
-):
+def _grid(name, kernel, base, axes, *, machine, engine: dict[str, object]):
     """Run one single-kernel option grid through the campaign engine."""
     campaign = Campaign(
         name=name,
         machine=machine,
         sweeps=(SweepSpec(kernels=(kernel,), base=base, axes=axes),),
     )
-    return run_campaign(
-        campaign,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-    )
+    return run_campaign(campaign, **engine)
 
 
 @register("ablation_aggregator")
 def ablation_aggregator(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Min vs. mean vs. median aggregation under noise.
@@ -77,12 +60,7 @@ def ablation_aggregator(
         base,
         {"aggregator": ("min", "median", "mean")},
         machine=machine,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
     )
     table = Table(header=("aggregator", "cycles/iter", "vs min"), title="aggregators")
     results = {
@@ -105,12 +83,7 @@ def ablation_aggregator(
 @register("ablation_warmup")
 def ablation_warmup(
     *,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Cache heating (Fig. 10's first untimed call).
@@ -133,12 +106,7 @@ def ablation_warmup(
         base,
         {"warmup": (True, False)},
         machine=machine,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
     )
     by_warmup = {job.tags["warmup"]: m for job, m in run.rows()}
     warm, cold = by_warmup[True], by_warmup[False]
@@ -161,12 +129,7 @@ def ablation_warmup(
 @register("ablation_overhead")
 def ablation_overhead(
     *,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Call-overhead subtraction vs. trip count.
@@ -190,12 +153,7 @@ def ablation_overhead(
         base,
         {"trip_count": trips, "subtract_overhead": (True, False)},
         machine=machine,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
     )
     cycles = {
         (job.tags["trip_count"], job.tags["subtract_overhead"]): m.cycles_per_iteration
@@ -228,12 +186,7 @@ def ablation_overhead(
 @register("ablation_inner_reps")
 def ablation_inner_reps(
     *,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Inner-loop repetitions vs. result variance.
@@ -256,12 +209,7 @@ def ablation_inner_reps(
         base,
         {"repetitions": (1, 4, 16, 64, 256)},
         machine=machine,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
     )
     table = Table(header=("repetitions", "spread"), title="inner repetitions")
     spreads = {}

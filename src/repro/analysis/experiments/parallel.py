@@ -25,12 +25,7 @@ def _eight_load_ram_kernel(creator: MicroCreator):
 def fig14(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Fig. 14: forked multi-core RAM kernel — bandwidth saturation.
@@ -53,12 +48,7 @@ def fig14(
     )
     run = run_campaign(
         Campaign(name="fig14_forked", machine=machine, sweeps=(sweep,)),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        **engine,
     )
     by_cores = {
         job.tags["n_cores"]: statistics.fmean(m.cycles_per_iteration for m in ms)
@@ -156,12 +146,7 @@ def _seq_omp_rows(
     options: LauncherOptions,
     machine,
     *,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
 ):
     """Run the same kernels sequentially and under OpenMP as one campaign.
 
@@ -173,15 +158,7 @@ def _seq_omp_rows(
             kernels=tuple(kernels), base=options, mode="openmp", tags={"exec": "omp"}
         ),
     )
-    run = run_campaign(
-        Campaign(name=name, machine=machine, sweeps=sweeps),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-    )
+    run = run_campaign(Campaign(name=name, machine=machine, sweeps=sweeps), **engine)
     grouped = run.grouped("exec")
     return (
         [m for _, m in grouped["seq"]],
@@ -193,12 +170,7 @@ def _openmp_vs_sequential(
     n_elements: int,
     *,
     quick: bool,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
 ):
     """Shared Figs. 17/18 implementation: movss loads, unroll 1..8."""
     machine = sandy_bridge_e31240()
@@ -221,12 +193,7 @@ def _openmp_vs_sequential(
         kernels,
         options,
         machine,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
     )
     xs, seq_y, seq_lo, seq_hi, omp_y, omp_lo, omp_hi = [], [], [], [], [], [], []
     for kernel, seq, omp in zip(kernels, seq_ms, omp_ms):
@@ -265,24 +232,11 @@ def _openmp_vs_sequential(
 def fig17(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Fig. 17: OpenMP vs sequential movss loads, 128k-element array."""
-    series, notes = _openmp_vs_sequential(
-        128 * 1024, quick=quick,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-    )
+    series, notes = _openmp_vs_sequential(128 * 1024, quick=quick, engine=engine)
     return ExperimentResult(
         exhibit="fig17",
         title="OpenMP vs sequential, 128k elements (log scale)",
@@ -300,12 +254,7 @@ def fig17(
 def fig18(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Fig. 18: the same with six million elements (RAM resident).
@@ -313,15 +262,7 @@ def fig18(
     The 128k version must show a "significantly better performance gain"
     (speedup) than this one: RAM bandwidth, not cores, is the limit here.
     """
-    series, notes = _openmp_vs_sequential(
-        6_000_000, quick=quick,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
-    )
+    series, notes = _openmp_vs_sequential(6_000_000, quick=quick, engine=engine)
     return ExperimentResult(
         exhibit="fig18",
         title="OpenMP vs sequential, six million elements (log scale)",
@@ -339,12 +280,7 @@ def fig18(
 def table2(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     **_: object,
 ) -> ExperimentResult:
     """Table 2: execution seconds, OpenMP vs sequential, unroll 1..8.
@@ -376,12 +312,7 @@ def table2(
         kernels,
         options,
         machine,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
     )
     table = Table(header=("unroll", "openmp_s", "sequential_s"), title="Table 2")
     omp_col, seq_col = [], []

@@ -19,12 +19,7 @@ def _unroll_hierarchy(
     opcode: str,
     *,
     quick: bool,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     rciw_target: float | None = None,
     max_experiments: int | None = None,
 ) -> ExperimentResult:
@@ -62,12 +57,7 @@ def _unroll_hierarchy(
     )
     run = run_campaign(
         Campaign(name=f"unroll_hierarchy_{opcode}", machine=machine, sweeps=sweeps),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        **engine,
     )
     series = []
     for level in _LEVELS:
@@ -114,12 +104,7 @@ def _unroll_hierarchy(
 def fig11(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -128,12 +113,7 @@ def fig11(
     result = _unroll_hierarchy(
         "movaps",
         quick=quick,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
         rciw_target=rciw_target,
         max_experiments=max_experiments,
     )
@@ -145,12 +125,7 @@ def fig11(
 def fig12(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -165,12 +140,7 @@ def fig12(
     result = _unroll_hierarchy(
         "movss",
         quick=quick,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        engine=engine,
         rciw_target=rciw_target,
         max_experiments=max_experiments,
     )
@@ -182,12 +152,7 @@ def fig12(
 def fig13(
     *,
     quick: bool = False,
-    jobs: int = 1,
-    cache_dir: object = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    gen_cache_dir: object = None,
+    engine: dict[str, object],
     rciw_target: float | None = None,
     max_experiments: int | None = None,
     **_: object,
@@ -224,13 +189,7 @@ def fig13(
         for level in _LEVELS
     )
     run = run_campaign(
-        Campaign(name="fig13_dvfs", machine=machine, sweeps=sweeps),
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        gen_cache_dir=gen_cache_dir,
+        Campaign(name="fig13_dvfs", machine=machine, sweeps=sweeps), **engine
     )
     series = []
     for level in _LEVELS:

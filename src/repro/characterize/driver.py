@@ -83,14 +83,12 @@ def run_characterization(
     *,
     opcodes: tuple[str, ...] | None = None,
     options: LauncherOptions | None = None,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    resume: bool = True,
-    max_retries: int = 2,
-    job_timeout: float | None = None,
-    progress=None,
+    **engine: object,
 ) -> CharacterizationResult:
     """Probe ``machine`` and solve the measurements into a table.
+
+    ``engine`` holds ``run_campaign`` keywords (``jobs``, ``cache_dir``,
+    ``resume``, ``progress``, ...), forwarded unchanged.
 
     Raises
     ------
@@ -102,15 +100,7 @@ def run_characterization(
     if options is None:
         options = characterization_options()
     campaign = characterization_campaign(machine, opcodes=opcodes, options=options)
-    run = run_campaign(
-        campaign,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        max_retries=max_retries,
-        job_timeout=job_timeout,
-        progress=progress,
-    )
+    run = run_campaign(campaign, **engine)
     if run.failures:
         failed = ", ".join(f.kernel for f in run.failures)
         raise ValueError(

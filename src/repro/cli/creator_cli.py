@@ -26,6 +26,12 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.cli.launcher_cli import (
+    _report_failures,
+    add_engine_args,
+    engine_settings,
+    run_observed,
+)
 from repro.creator import CreatorOptions, MicroCreator
 from repro.spec import SpecParseError, parse_spec_file
 
@@ -124,48 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --measure --rciw-target: cap on experiments per "
         "configuration (default: 64)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --measure: worker processes (default: 1, inline)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="with --measure: cache measurements by content hash",
-    )
-    parser.add_argument(
-        "--gen-cache",
-        metavar="DIR",
-        default=None,
-        help="with --measure: persist generated variants keyed by "
-        "(spec, options); a warm cache skips the generation pipeline",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="with --measure: reuse cached results (--no-resume re-measures)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="with --measure: failed attempts a job may retry before it "
-        "is quarantined (default: 2); a degraded run exits 3",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with --measure: wall-clock budget per job "
-        "(default: no timeout)",
-    )
+    add_engine_args(parser)
     parser.add_argument(
         "--format",
         dest="result_format",
@@ -202,23 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecParseError, OSError) as exc:
         print(f"microcreator: {exc}", file=sys.stderr)
         return 2
-    if args.trace or args.metrics_out:
-        from repro import obs
-
-        obs.enable()
-        try:
-            return _observed_main(args, spec)
-        finally:
-            session = obs.session()
-            if args.trace:
-                print(f"wrote trace to {session.tracer.write_jsonl(args.trace)}")
-            if args.metrics_out:
-                print(
-                    "wrote metrics to "
-                    f"{session.metrics.write_json(args.metrics_out)}"
-                )
-            obs.disable()
-    return _observed_main(args, spec)
+    return run_observed(args, lambda: _observed_main(args, spec))
 
 
 def _observed_main(args, spec) -> int:
@@ -318,24 +267,13 @@ def _measure(args, creator: MicroCreator, spec) -> int:
         machine=machine,
         sweeps=(sweep,),
     )
-    run = run_campaign(
-        campaign,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        progress=print,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        gen_cache_dir=args.gen_cache,
-    )
+    run = run_campaign(campaign, progress=print, **engine_settings(args))
     results = args.results or f"results.{args.result_format}"
     if args.result_format == "jsonl":
         out = run.write_jsonl(results)
     else:
         out = run.write_csv(results)
     print(f"wrote {len(run.measurements())} measurements to {out}")
-    from repro.cli.launcher_cli import _report_failures
-
     return _report_failures("microcreator", run)
 
 

@@ -10,12 +10,15 @@ Measures a kernel on a simulated machine::
     microlauncher --exhibit fig14 --jobs 4   # regenerate a paper exhibit
     microlauncher --list-exhibits
 
-``--jobs``, ``--cache-dir``, ``--job-timeout`` and ``--output jsonl``
-route the run through the campaign engine: results are bit-identical to
-an inline run, cached by content hash, and resumable (``--no-resume``
-forces re-measurement).  Failing jobs retry up to ``--max-retries``
+Every kernel run is a one-sweep campaign through the campaign engine, so
+a run's numbers do not depend on the engine flags: ``--cache-dir``
+caches measurements by content hash and makes the run resumable
+(``--no-resume`` forces re-measurement), and ``--jobs`` only changes
+where the jobs execute.  Failing jobs retry up to ``--max-retries``
 times and hung jobs are bounded by ``--job-timeout``; a job that keeps
 failing is quarantined — the run completes degraded and exits 3.
+``--csv`` appends every measured row (``--output jsonl`` writes one
+JSON line per row instead).
 
 ``--trace FILE`` and ``--metrics-out FILE`` turn on the observability
 layer for the run: a JSONL span trace of where the time went and a JSON
@@ -28,10 +31,91 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from repro.analysis import available_experiments, run_experiment
-from repro.launcher import LauncherOptions, MicroLauncher
+from repro.engine import Campaign, SweepSpec, run_campaign
+from repro.launcher import LauncherOptions
+from repro.launcher.csvout import write_csv
+from repro.launcher.stopping import adaptive_overrides
 from repro.machine import PRESETS, preset
+
+
+def add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """The campaign-engine flags ``microlauncher`` and ``microcreator`` share."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for campaign execution (default: 1, inline)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        default=None,
+        help="cache measurements by content hash; re-runs skip finished jobs",
+    )
+    parser.add_argument(
+        "--gen-cache",
+        metavar="DIR",
+        default=None,
+        help="persist generated variants for spec-backed sweeps "
+        "(--exhibit runs, microcreator --measure): repeated campaigns "
+        "skip the generation pipeline entirely",
+    )
+    parser.add_argument(
+        "--resume",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="reuse cached results (--no-resume re-measures everything)",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="failed attempts a job may retry before it is quarantined "
+        "(default: 2); a quarantined job drops its rows and exits 3",
+    )
+    parser.add_argument(
+        "--job-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock budget per job; a chunk past its budget is "
+        "killed and its jobs retried (default: no timeout)",
+    )
+
+
+def engine_settings(args: argparse.Namespace) -> dict[str, object]:
+    """The :func:`add_engine_args` flags as ``run_campaign`` keywords."""
+    return {
+        "jobs": args.jobs,
+        "cache_dir": args.cache_dir,
+        "resume": args.resume,
+        "max_retries": args.max_retries,
+        "job_timeout": args.job_timeout,
+        "gen_cache_dir": args.gen_cache,
+    }
+
+
+def run_observed(args: argparse.Namespace, body: Callable[[], int]) -> int:
+    """Run ``body``, inside an obs session if ``--trace``/``--metrics-out`` ask."""
+    if not (args.trace or args.metrics_out):
+        return body()
+    from repro import obs
+
+    obs.enable()
+    try:
+        return body()
+    finally:
+        session = obs.session()
+        if args.trace:
+            print(f"wrote trace to {session.tracer.write_jsonl(args.trace)}")
+        if args.metrics_out:
+            print(f"wrote metrics to {session.metrics.write_json(args.metrics_out)}")
+        obs.disable()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,54 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--csv-full", action="store_true", help="one CSV row per experiment"
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for campaign execution (default: 1, inline)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache measurements by content hash; re-runs skip finished jobs",
-    )
-    parser.add_argument(
-        "--gen-cache",
-        metavar="DIR",
-        default=None,
-        help="persist generated variants for spec-backed sweeps "
-        "(e.g. --exhibit runs): repeated campaigns skip the generation "
-        "pipeline entirely",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse cached results (--no-resume re-measures everything)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="failed attempts a job may retry before it is quarantined "
-        "(default: 2); a quarantined job drops its rows and exits 3",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per job; a chunk past its budget is "
-        "killed and its jobs retried (default: no timeout)",
-    )
+    add_engine_args(parser)
     parser.add_argument(
         "--output",
         choices=("csv", "jsonl"),
         default="csv",
-        help="result file format for --csv when running through the engine",
+        help="result file format for --csv (default: csv)",
     )
     parser.add_argument(
         "--exhibit",
@@ -225,69 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_engine(args, machine, options, path: Path) -> int:
-    """Route a single-kernel run through the campaign engine."""
-    from repro.engine import Campaign, SweepSpec, run_campaign
-
-    if options.csv_path:
-        # The engine owns output; keep job IDs (cache keys) independent
-        # of where the results land.
-        options = options.with_(csv_path=None)
-    if args.alignment_sweep:
-        mode = "alignment_sweep"
-    elif args.fork:
-        mode = "forked"
-    elif args.openmp:
-        mode = "openmp"
-    else:
-        mode = "sequential"
-    campaign = Campaign(
-        name=path.stem,
-        machine=machine,
-        sweeps=(SweepSpec(kernels=(path,), base=options, mode=mode),),
-    )
-    run = run_campaign(
-        campaign,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        progress=print,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        gen_cache_dir=args.gen_cache,
-    )
-    ms = run.measurements()
-    if not ms:
-        pass  # every job quarantined: the failure report below says why
-    elif mode == "alignment_sweep":
-        best = min(ms, key=lambda m: m.cycles_per_iteration)
-        worst = max(ms, key=lambda m: m.cycles_per_iteration)
-        print(f"{len(ms)} alignment configurations")
-        print(f"best : {best.cycles_per_iteration:.3f} cycles/iter "
-              f"alignments={best.alignments}")
-        print(f"worst: {worst.cycles_per_iteration:.3f} cycles/iter "
-              f"alignments={worst.alignments}")
-    elif mode == "forked":
-        mean = sum(m.cycles_per_iteration for m in ms) / len(ms)
-        print(f"forked {len(ms)} processes on cores {[m.core for m in ms]}")
-        print(f"mean cycles/iteration: {mean:.3f}")
-        print(f"max  cycles/iteration: "
-              f"{max(m.cycles_per_iteration for m in ms):.3f}")
-    else:
-        m = ms[0]
-        print(f"kernel: {m.kernel_name} on {machine.name}")
-        print(f"cycles/iteration: {m.cycles_per_iteration:.3f} "
-              f"[{m.min_cycles_per_iteration:.3f}, {m.max_cycles_per_iteration:.3f}]")
-        print(f"bottleneck: {m.bottleneck}")
-    if args.csv:
-        if args.output == "jsonl":
-            out = run.write_jsonl(args.csv)
-        else:
-            out = run.write_csv(args.csv, full=args.csv_full)
-        print(f"wrote {out}")
-    return _report_failures("microlauncher", run)
-
-
 def _report_failures(prog: str, run) -> int:
     """Print quarantined jobs to stderr; exit 3 for a degraded run."""
     if not run.failures:
@@ -308,23 +287,7 @@ def _report_failures(prog: str, run) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.trace or args.metrics_out:
-        from repro import obs
-
-        obs.enable()
-        try:
-            return _observed_main(args)
-        finally:
-            session = obs.session()
-            if args.trace:
-                print(f"wrote trace to {session.tracer.write_jsonl(args.trace)}")
-            if args.metrics_out:
-                print(
-                    "wrote metrics to "
-                    f"{session.metrics.write_json(args.metrics_out)}"
-                )
-            obs.disable()
-    return _observed_main(args)
+    return run_observed(args, lambda: _observed_main(args))
 
 
 def _observed_main(args) -> int:
@@ -346,14 +309,9 @@ def _observed_main(args) -> int:
             result = run_experiment(
                 args.exhibit,
                 quick=args.quick,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                resume=args.resume,
-                max_retries=args.max_retries,
-                job_timeout=args.job_timeout,
-                gen_cache_dir=args.gen_cache,
                 rciw_target=args.rciw_target,
                 max_experiments=args.max_experiments,
+                **engine_settings(args),
             )
         except KeyError as exc:
             print(f"microlauncher: {exc}", file=sys.stderr)
@@ -399,9 +357,6 @@ def _observed_main(args) -> int:
         except MachineFileError as exc:
             print(f"microlauncher: {exc}", file=sys.stderr)
             return 2
-    launcher = MicroLauncher(machine)
-    from repro.launcher.stopping import adaptive_overrides
-
     options = LauncherOptions(
         function_name=args.function,
         nbvectors=args.nbvectors,
@@ -416,8 +371,6 @@ def _observed_main(args) -> int:
         frequency_ghz=args.frequency,
         n_cores=args.fork or 1,
         omp_threads=args.openmp or 1,
-        csv_path=args.csv,
-        csv_full=args.csv_full,
         **adaptive_overrides(
             rciw_target=args.rciw_target,
             min_experiments=args.min_experiments,
@@ -425,66 +378,85 @@ def _observed_main(args) -> int:
             batch_size=args.stopping_batch,
         ),
     )
-
-    if (
-        args.jobs > 1
-        or args.cache_dir is not None
-        or args.output == "jsonl"
-        or args.job_timeout is not None
-    ):
-        return _run_engine(args, machine, options, path)
-
     if args.alignment_sweep:
-        series = launcher.run_alignment_sweep(path, options)
-        best, worst = series.best(), series.worst()
-        print(f"{len(series)} alignment configurations")
+        mode = "alignment_sweep"
+    elif args.fork:
+        mode = "forked"
+    elif args.openmp:
+        mode = "openmp"
+    else:
+        mode = "sequential"
+    campaign = Campaign(
+        name=path.stem,
+        machine=machine,
+        sweeps=(SweepSpec(kernels=(path,), base=options, mode=mode),),
+    )
+    run = run_campaign(campaign, progress=print, **engine_settings(args))
+    ms = run.measurements()
+    if ms:  # empty when every job was quarantined: see the failure report
+        _print_report(mode, ms, machine)
+        if args.energy and mode == "sequential":
+            _print_energy(path, options, machine)
+    if args.csv:
+        if args.output == "jsonl":
+            out = run.write_jsonl(args.csv)
+        else:
+            out = write_csv(args.csv, ms, full=args.csv_full, append=True)
+        print(f"wrote {out}")
+    return _report_failures("microlauncher", run)
+
+
+def _print_report(mode: str, ms: list, machine) -> None:
+    """The human-readable summary of one kernel run's measurements."""
+    if mode == "alignment_sweep":
+        best = min(ms, key=lambda m: m.cycles_per_iteration)
+        worst = max(ms, key=lambda m: m.cycles_per_iteration)
+        print(f"{len(ms)} alignment configurations")
         print(f"best : {best.cycles_per_iteration:.3f} cycles/iter "
               f"alignments={best.alignments}")
         print(f"worst: {worst.cycles_per_iteration:.3f} cycles/iter "
               f"alignments={worst.alignments}")
-        return 0
-
-    if args.fork:
-        result = launcher.run_forked(path, options)
-        print(f"forked {result.n_cores} processes on cores {result.pinned_cores}")
-        print(f"mean cycles/iteration: {result.mean_cycles_per_iteration:.3f}")
-        print(f"max  cycles/iteration: {result.max_cycles_per_iteration:.3f}")
-        return 0
-
-    if args.openmp:
-        result = launcher.run_openmp(path, options)
-        m = result.measurement
-        print(f"openmp threads: {result.threads}")
-        print(f"cycles/iteration: {m.cycles_per_iteration:.3f} "
+        return
+    if mode == "forked":
+        mean = sum(m.cycles_per_iteration for m in ms) / len(ms)
+        print(f"forked {len(ms)} processes on cores {[m.core for m in ms]}")
+        print(f"mean cycles/iteration: {mean:.3f}")
+        print(f"max  cycles/iteration: "
+              f"{max(m.cycles_per_iteration for m in ms):.3f}")
+        return
+    m = ms[0]
+    cycles = (f"cycles/iteration: {m.cycles_per_iteration:.3f} "
               f"[{m.min_cycles_per_iteration:.3f}, {m.max_cycles_per_iteration:.3f}]")
-        return 0
-
-    m = launcher.run(path, options)
+    if mode == "openmp":
+        print(f"openmp threads: {m.n_cores}")
+        print(cycles)
+        return
     print(f"kernel: {m.kernel_name} on {machine.name}")
-    print(f"cycles/iteration: {m.cycles_per_iteration:.3f} "
-          f"[{m.min_cycles_per_iteration:.3f}, {m.max_cycles_per_iteration:.3f}]")
+    print(cycles)
     print(f"cycles/memory-instruction: {m.cycles_per_memory_instruction:.3f}")
     print(f"bottleneck: {m.bottleneck}")
     if m.rciw is not None:
         status = "converged" if m.converged else "hit max_experiments"
         print(f"rciw: {m.rciw:.4f} after {m.experiments_spent} "
               f"experiments ({status})")
-    if args.energy:
-        from repro.launcher.arrays import ArrayAllocator
-        from repro.launcher.kernel_input import as_sim_kernel
-        from repro.machine.power import estimate_iteration_energy
 
-        sim = as_sim_kernel(path, trip_count=options.trip_count)
-        bindings = ArrayAllocator(sim, options).bindings()
-        energy = estimate_iteration_energy(
-            sim.analysis, bindings, machine, freq_ghz=options.frequency_ghz
-        )
-        print(
-            f"energy/iteration: {energy.total_nj:.2f} nJ "
-            f"(dynamic {energy.dynamic_nj:.2f}, memory {energy.memory_nj:.2f}, "
-            f"static {energy.static_nj:.2f}); avg power {energy.average_power_w:.2f} W"
-        )
-    return 0
+
+def _print_energy(path: Path, options: LauncherOptions, machine) -> None:
+    """The energy model's per-iteration estimate for a sequential run."""
+    from repro.launcher.arrays import ArrayAllocator
+    from repro.launcher.kernel_input import as_sim_kernel
+    from repro.machine.power import estimate_iteration_energy
+
+    sim = as_sim_kernel(path, trip_count=options.trip_count)
+    bindings = ArrayAllocator(sim, options).bindings()
+    energy = estimate_iteration_energy(
+        sim.analysis, bindings, machine, freq_ghz=options.frequency_ghz
+    )
+    print(
+        f"energy/iteration: {energy.total_nj:.2f} nJ "
+        f"(dynamic {energy.dynamic_nj:.2f}, memory {energy.memory_nj:.2f}, "
+        f"static {energy.static_nj:.2f}); avg power {energy.average_power_w:.2f} W"
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

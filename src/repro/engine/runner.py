@@ -66,12 +66,7 @@ from repro.engine.pool import (
 )
 from repro.engine.transport import TransportError, unpack_chunk
 from repro.engine.serialize import measurement_to_dict, measurements_from_payload
-from repro.engine.store import (
-    ShardedGenerationCache,
-    ShardedResultCache,
-    open_generation_cache,
-    open_result_cache,
-)
+from repro.engine.store import open_generation_cache, open_result_cache
 from repro.launcher.measurement import Measurement
 from repro.launcher.stopping import EXPERIMENT_BUCKETS
 from repro.machine.config import MachineConfig
@@ -698,7 +693,6 @@ def run_campaign(
     *,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    cache: ShardedResultCache | None = None,
     resume: bool = True,
     progress: Callable[[str], None] | None = None,
     max_retries: int = 2,
@@ -706,7 +700,6 @@ def run_campaign(
     retry_backoff: float = 0.05,
     faults: FaultPlan | None = None,
     gen_cache_dir: str | Path | None = None,
-    gen_cache: ShardedGenerationCache | None = None,
 ) -> CampaignRun:
     """Execute a campaign and return its ordered results.
 
@@ -720,11 +713,10 @@ def run_campaign(
         environments), the same dispatch loop continues in-process —
         results are identical either way.  Chunks start at a few jobs
         and are then sized to ``CHUNK_TARGET_MS`` of observed work.
-    cache_dir / cache:
+    cache_dir:
         Reuse measurements across runs: jobs whose ID is already stored
-        are not executed.  ``cache`` takes precedence over ``cache_dir``.
-        A cached payload that fails validation is re-measured, never
-        returned.
+        are not executed.  A cached payload that fails validation is
+        re-measured, never returned.
     resume:
         When ``False``, stored results are ignored (every job executes)
         but completions are still recorded — a forced re-measure.
@@ -744,11 +736,10 @@ def run_campaign(
     faults:
         Deterministic fault-injection plan (tests and chaos drills);
         ``None`` injects nothing.
-    gen_cache_dir / gen_cache:
+    gen_cache_dir:
         Persist spec expansions across runs (see
         :mod:`repro.engine.gencache`): a warm cache expands the campaign
-        without running the pass pipeline.  ``gen_cache`` takes
-        precedence over ``gen_cache_dir``.  A directory still holding a
+        without running the pass pipeline.  A directory still holding a
         legacy JSONL cache is migrated into the store on open (see
         :mod:`repro.engine.store`).
     """
@@ -756,10 +747,10 @@ def run_campaign(
         raise ValueError("max_retries must be >= 0")
     if job_timeout is not None and job_timeout <= 0:
         raise ValueError("job_timeout must be positive")
-    if cache is None and cache_dir is not None:
-        cache = open_result_cache(cache_dir)
-    if gen_cache is None and gen_cache_dir is not None:
-        gen_cache = open_generation_cache(gen_cache_dir)
+    cache = open_result_cache(cache_dir) if cache_dir is not None else None
+    gen_cache = (
+        open_generation_cache(gen_cache_dir) if gen_cache_dir is not None else None
+    )
 
     with obs.span(
         "engine.campaign", campaign=campaign.name, workers=max(1, jobs)

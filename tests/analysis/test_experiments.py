@@ -67,6 +67,10 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown experiment"):
             run_experiment("fig99")
 
+    def test_misspelt_engine_setting_rejected(self):
+        with pytest.raises(TypeError, match="job"):
+            run_experiment("fig14", quick=True, job=4)
+
 
 @pytest.mark.parametrize("name", ALL_EXHIBITS + ABLATIONS + EXTENSIONS + USES)
 def test_exhibit_shape_claims_hold(name):

@@ -213,7 +213,7 @@ class TestGarbage:
 
         cache = ShardedResultCache(tmp_path)
         cache.put(victim.job_id, [dict(d) for d in GARBAGE_PAYLOAD])
-        run = run_campaign(campaign, cache=cache)
+        run = run_campaign(campaign, cache_dir=tmp_path)
         assert not run.failures
         assert victim.job_id in run.results
         assert run.measurements() == clean.measurements()

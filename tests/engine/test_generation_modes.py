@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.engine import (
     Campaign,
     KernelRef,
@@ -77,11 +78,14 @@ class TestByteIdentical:
     def test_warm_cache_round_trips_results(self, tmp_path):
         gen_dir = tmp_path / "gencache"
         cold = _result_bytes(tmp_path, "cold", jobs=1, gen_cache_dir=gen_dir)
-        cache = open_generation_cache(gen_dir)
-        assert len(cache) == 2  # one expansion per spec
-        warm = _result_bytes(tmp_path, "warm", jobs=2, gen_cache=cache)
-        assert warm == cold
-        assert cache.stats.hits == 2
+        assert len(open_generation_cache(gen_dir)) == 2  # one expansion per spec
+        obs.enable()
+        try:
+            run = run_campaign(_campaign(), jobs=2, gen_cache_dir=gen_dir)
+        finally:
+            obs.disable()
+        assert _run_bytes(run, tmp_path, "warm") == cold
+        assert run.stats.metrics["counters"]["gencache.hit"] == 2
 
 
 class TestDeferredJobs:

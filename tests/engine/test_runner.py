@@ -7,7 +7,7 @@ a second run against the same cache must execute nothing.
 
 import pytest
 
-from repro.engine import Campaign, ShardedResultCache, SweepSpec, run_campaign
+from repro.engine import Campaign, SweepSpec, run_campaign
 from repro.launcher import LauncherOptions
 
 
@@ -66,7 +66,6 @@ class TestCaching:
         assert forced.stats.cache_hits == 0
 
     def test_partial_cache_runs_only_missing(self, grid_campaign, tmp_path):
-        cache = ShardedResultCache(tmp_path)
         all_jobs = grid_campaign.job_list()
         half = run_campaign(
             Campaign(
@@ -81,10 +80,10 @@ class TestCaching:
                     ),
                 ),
             ),
-            cache=cache,
+            cache_dir=tmp_path,
         )
         assert half.stats.executed > 0
-        full = run_campaign(grid_campaign, cache=cache)
+        full = run_campaign(grid_campaign, cache_dir=tmp_path)
         overlap = sum(1 for j in all_jobs if j.job_id in half.results)
         assert full.stats.cache_hits == overlap
         assert full.stats.executed == full.stats.total_jobs - overlap

@@ -104,14 +104,12 @@ class TestBackendEquivalence:
         )
 
     def test_partial_sharded_cache_runs_only_missing(self, tmp_path):
-        from repro.engine import ShardedResultCache
-
         campaign = _campaign()
         jobs = campaign.job_list()
-        cache = ShardedResultCache(tmp_path / "cache")
-        first = run_campaign(campaign, cache=cache)
+        cache_dir = tmp_path / "cache"
+        first = run_campaign(campaign, cache_dir=cache_dir)
         assert first.stats.executed == len(jobs)
-        resumed = run_campaign(_campaign(), cache=cache)
+        resumed = run_campaign(_campaign(), cache_dir=cache_dir)
         assert resumed.stats.executed == 0
         assert resumed.stats.cache_hits == len(jobs)
 
@@ -146,7 +144,7 @@ class TestBackendEquivalence:
         assert len(reopened) == len(cold.results)
         for job_id in cold.results:
             assert reopened.get(job_id) is not None
-        warm = run_campaign(_campaign(), cache=reopened)
+        warm = run_campaign(_campaign(), cache_dir=cache_dir)
         assert warm.stats.executed == 0
         assert _output_bytes(warm, tmp_path, "warm") == _output_bytes(
             cold, tmp_path, "cold"

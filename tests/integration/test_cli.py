@@ -12,6 +12,10 @@ def spec_file():
     return str(spec_path("load_movaps"))
 
 
+def _line(out: str, prefix: str) -> str:
+    return next(line for line in out.splitlines() if line.startswith(prefix))
+
+
 class TestCreatorCli:
     def test_list(self, spec_file, capsys):
         assert creator_main([spec_file, "--list"]) == 0
@@ -88,6 +92,37 @@ class TestLauncherCli:
         csv = tmp_path / "r.csv"
         assert launcher_main([kernel_file, "--csv", str(csv)]) == 0
         assert csv.exists()
+
+    def test_engine_flags_keep_the_numbers(self, kernel_file, tmp_path, capsys):
+        assert launcher_main([kernel_file]) == 0
+        plain = _line(capsys.readouterr().out, "cycles/iteration:")
+        assert launcher_main([kernel_file, "--cache-dir", str(tmp_path / "c")]) == 0
+        assert _line(capsys.readouterr().out, "cycles/iteration:") == plain
+
+    def test_openmp_report_with_cache_dir(self, kernel_file, tmp_path, capsys):
+        args = [kernel_file, "--openmp", "4", "--cache-dir", str(tmp_path / "c")]
+        assert launcher_main(args) == 0
+        assert "openmp threads: 4" in capsys.readouterr().out
+
+    def test_csv_appends_every_run(self, kernel_file, tmp_path):
+        csv = tmp_path / "r.csv"
+        args = [kernel_file, "--csv", str(csv), "--cache-dir", str(tmp_path / "c"),
+                "--no-resume"]
+        assert launcher_main(args) == 0
+        assert launcher_main(args) == 0
+        lines = csv.read_text().splitlines()
+        assert len(lines) == 3 and lines[0].startswith("kernel,")
+        assert lines[1] == lines[2]
+
+    def test_rciw_reported_with_cache_dir(self, kernel_file, tmp_path, capsys):
+        args = [kernel_file, "--rciw-target", "0.05",
+                "--cache-dir", str(tmp_path / "c")]
+        assert launcher_main(args) == 0
+        assert "rciw:" in capsys.readouterr().out
+
+    def test_failing_job_exits_3(self, kernel_file, capsys):
+        assert launcher_main([kernel_file, "--openmp", "100"]) == 3
+        assert "1 of 1 jobs quarantined" in capsys.readouterr().err
 
     def test_exhibit_mode(self, capsys):
         assert launcher_main(["--exhibit", "generation_scale"]) == 0
