@@ -5,7 +5,7 @@ The campaign engine replaces hand-written measurement loops:
 
 1. one ``SweepSpec`` describes kernels x option axes (here the movaps
    unroll family swept over four memory footprints and three trip
-   counts — variants stream lazily from the kernel description),
+   counts — variants are generated from the kernel description),
 2. ``run_campaign`` expands it into content-hashed jobs, answers what
    it can from the cache, and schedules the rest on worker processes,
 3. results come back in deterministic grid order — byte-identical no
@@ -33,7 +33,7 @@ campaign = Campaign(
     description="movaps unroll family x memory level x trip count",
     sweeps=(
         SweepSpec(
-            spec=load_kernel("movaps"),  # 8 unroll variants, streamed
+            spec=load_kernel("movaps"),  # 8 unroll variants, generated
             base=LauncherOptions(experiments=2, repetitions=4),
             axes={
                 "array_bytes": tuple(footprints),

@@ -9,10 +9,8 @@ per generated variant::
     microcreator kernel.xml --plugin my_passes.py -o out/
     microcreator kernel.xml --measure --machine nehalem-2s --jobs 4
 
-Variants are written as they stream out of the pass pipeline, so the
-first files appear before the full expansion finishes.  ``--measure``
-runs every generated variant through the campaign engine and writes a
-results file instead of assembly.
+``--measure`` runs every generated variant through the campaign engine
+and writes a results file instead of assembly.
 
 ``--trace FILE`` and ``--metrics-out FILE`` turn on the observability
 layer: one span per pass of the pipeline (plus engine/launcher spans
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.cli.launcher_cli import (
     _report_failures,
@@ -209,11 +206,9 @@ def _observed_main(args, spec) -> int:
         print("microcreator: use -o DIR to write variants, --list to inspect",
               file=sys.stderr)
         return 2
-    # Stream: each variant hits the disk as soon as the pipeline emits it.
-    count = 0
-    for kernel in creator.stream(spec):
-        kernel.write(Path(args.output), language=args.language)
-        count += 1
+    count = len(
+        creator.write_all(creator.generate(spec), args.output, language=args.language)
+    )
     print(f"generated {count} variants from {args.input}")
     print(f"wrote {count} files to {args.output}")
     return 0
@@ -257,7 +252,7 @@ def _measure(args, creator: MicroCreator, spec) -> int:
     if args.plugin:
         # Plugin passes rewrite the pipeline in this process only; worker
         # processes could not reconstruct them, so ship rendered kernels.
-        sweep = SweepSpec(kernels=tuple(creator.stream(spec)), base=base)
+        sweep = SweepSpec(kernels=tuple(creator.generate(spec)), base=base)
     else:
         # Spec-backed sweep: workers regenerate variants locally from the
         # (spec, options) pair instead of receiving pickled programs.

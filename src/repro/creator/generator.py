@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro import obs
 from repro.creator.pass_manager import (
@@ -57,18 +57,9 @@ class MicroCreator:
         ``options.function_name`` pins a single name (only sensible when
         the spec yields one variant).
         """
-        return list(self.stream(spec))
-
-    def stream(self, spec: KernelSpec) -> Iterator[GeneratedKernel]:
-        """Yield generated variants lazily, in :meth:`generate` order.
-
-        Backed by :meth:`PassManager.stream`: each variant is emitted as
-        soon as the pass pipeline finishes it, so a consumer (a
-        measurement campaign, an incremental file writer) can start on
-        the first variant while later passes are still expanding.
-        """
         ctx = CreatorContext(spec=spec, options=self.options)
-        for i, ir in enumerate(self.pass_manager.stream(ctx)):
+        kernels: list[GeneratedKernel] = []
+        for i, ir in enumerate(self.pass_manager.run(ctx)):
             program = ir.program
             if program is None:
                 raise RuntimeError(
@@ -80,13 +71,16 @@ class MicroCreator:
             public_metadata = {
                 k: v for k, v in ir.metadata.items() if not k.startswith("_")
             }
-            obs.count("creator.variants.generated")
-            yield GeneratedKernel(
-                spec_name=spec.name,
-                variant_id=i,
-                program=program,
-                metadata=public_metadata,
+            kernels.append(
+                GeneratedKernel(
+                    spec_name=spec.name,
+                    variant_id=i,
+                    program=program,
+                    metadata=public_metadata,
+                )
             )
+        obs.count("creator.variants.generated", len(kernels))
+        return kernels
 
     def generate_from_xml(self, xml_text: str) -> list[GeneratedKernel]:
         """Generate from kernel-description XML text."""

@@ -9,7 +9,7 @@ paper notes, and plugins may redefine any gate or replace any pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.creator.ir import KernelIR
@@ -72,15 +72,6 @@ class Pass:
     #: Unique pass name used for plugin addressing.
     name: str = "pass"
 
-    #: True when :meth:`run` distributes over concatenation —
-    #: ``run(a + b) == run(a) + run(b)`` — so the pass can process
-    #: variants one at a time inside :meth:`PassManager.stream`.  Every
-    #: default pass is a per-variant map/expansion and sets this, except
-    #: random selection (samples the whole list) and code generation
-    #: (dedups across it; it overrides :meth:`stream` instead).  Plugin
-    #: passes default to False: they are materialized, never reordered.
-    streamable: bool = False
-
     def gate(self, ctx: CreatorContext) -> bool:
         """Decide whether the pass executes for this generation run."""
         return True
@@ -88,52 +79,6 @@ class Pass:
     def run(self, variants: Sequence[KernelIR], ctx: CreatorContext) -> list[KernelIR]:
         """Transform the variant list (pure: no mutation of inputs)."""
         raise NotImplementedError
-
-    def expand(self, variant: KernelIR, ctx: CreatorContext) -> Iterable[KernelIR]:
-        """Transform one variant (the streamable unit of work).
-
-        The default wraps :meth:`run` so a streamable plugin pass that
-        only implements ``run`` keeps working; passes on the hot path
-        override this with a generator instead, avoiding a throwaway
-        single-element list per incoming variant.
-        """
-        return self.run([variant], ctx)
-
-    def _expands_per_variant(self) -> bool:
-        """Whether :meth:`expand` is this pass's real implementation.
-
-        Walks the MRO for the most-derived class defining ``expand`` or
-        ``run``: a subclass that overrides ``run`` below the class
-        providing ``expand`` (a plugin wrapping a default pass) must
-        still have its ``run`` drive execution.
-        """
-        for cls in type(self).__mro__:
-            if "expand" in cls.__dict__:
-                return True
-            if "run" in cls.__dict__:
-                return False
-        return False
-
-    def stream(
-        self, variants: Iterator[KernelIR], ctx: CreatorContext
-    ) -> Iterator[KernelIR]:
-        """Lazily transform a variant stream.
-
-        Streamable passes run once per incoming variant (via
-        :meth:`expand`), yielding each expansion as soon as its input
-        arrives; everything else falls back to materializing the
-        upstream — identical results either way, by the
-        :attr:`streamable` contract.
-        """
-        if self.streamable:
-            if self._expands_per_variant():
-                for variant in variants:
-                    yield from self.expand(variant, ctx)
-            else:
-                for variant in variants:
-                    yield from self.run([variant], ctx)
-        else:
-            yield from self.run(list(variants), ctx)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -143,12 +88,8 @@ class PerVariantPass(Pass):
     """A pass defined by its per-variant expansion.
 
     Subclasses implement :meth:`expand` only; :meth:`run` is derived by
-    concatenation, which is exactly the :attr:`Pass.streamable` contract.
-    All default per-variant passes use this base, so the streaming
-    pipeline never allocates per-variant wrapper lists.
+    concatenation.
     """
-
-    streamable = True
 
     def expand(self, variant: KernelIR, ctx: CreatorContext) -> Iterable[KernelIR]:
         raise NotImplementedError
@@ -245,55 +186,15 @@ class PassManager:
     # -- execution -----------------------------------------------------------
 
     def run(self, ctx: CreatorContext) -> list[KernelIR]:
-        """Run the pipeline on the context's spec.
+        """Run the pipeline on the context's spec, one pass at a time.
 
-        After every pass the variant count is clamped to the benchmark
-        limit (deterministic even subsampling), so intermediate explosion
-        is bounded by the same knob the paper offers users.  This is
-        simply ``list(self.stream(ctx))``: the streaming composition
-        preserves these semantics exactly.
-        """
-        return list(self.stream(ctx))
-
-    def stream(self, ctx: CreatorContext) -> Iterator[KernelIR]:
-        """Yield the pipeline's variants lazily (generator per pass).
-
-        Streamable passes compose as chained generators, so the first
-        fully generated variant is available while later expansions are
-        still pending — a campaign can start measuring immediately.
-        Whole-list passes (random selection, plugin passes) and any run
-        under a ``benchmark_limit`` materialize at that stage, keeping
-        :meth:`run` and :meth:`stream` bit-identical: the limit's even
-        subsampling must see each pass's complete output, exactly as the
-        eager pipeline applied it.
-
-        With observability enabled (:func:`repro.obs.enable`) the
-        pipeline runs pass-at-a-time instead — one ``pass:<name>`` span
-        per gated pass per variant batch, so per-pass wall time is
-        attributable — yielding exactly the same variants: each stage
-        sees its predecessor's complete output either way.
-        """
-        if obs.is_enabled():
-            return self._traced_stream(ctx)
-        limit = ctx.benchmark_limit
-        stage: Iterator[KernelIR] = iter([KernelIR.from_spec(ctx.spec)])
-        for p in self._passes:
-            if not self.gate_for(p, ctx):
-                continue
-            if limit is None:
-                stage = p.stream(stage, ctx)
-            else:
-                stage = self._clamped_stage(p, stage, ctx, limit)
-        return stage
-
-    def _traced_stream(self, ctx: CreatorContext) -> Iterator[KernelIR]:
-        """The observed pipeline: materialized per pass, spanned per pass.
-
-        Lazy generator chaining interleaves every pass's work, which
-        makes per-pass attribution meaningless; tracing trades the
-        laziness (not the results — passes are pure and compose
-        identically) for spans that nest cleanly under
-        ``creator.pipeline``.
+        Each gated pass sees its predecessor's complete output.  After
+        every pass the variant count is clamped to the benchmark limit
+        (deterministic even subsampling), so intermediate explosion is
+        bounded by the same knob the paper offers users.  Every pass runs
+        in a ``pass:<name>`` span under ``creator.pipeline``; with
+        observability off the spans are no-ops, so traced and untraced
+        runs execute the same schedule and return the same variants.
         """
         limit = ctx.benchmark_limit
         with obs.span("creator.pipeline", spec=ctx.spec.name) as pipeline:
@@ -314,17 +215,7 @@ class PassManager:
                     sp.set(variants_out=len(out))
                     variants = out
             pipeline.set(variants=len(variants))
-        yield from variants
-
-    def _clamped_stage(
-        self, p: Pass, upstream: Iterator[KernelIR], ctx: CreatorContext, limit: int
-    ) -> Iterator[KernelIR]:
-        variants = p.run(list(upstream), ctx)
-        if not isinstance(variants, list):  # defensive: plugin passes
-            variants = list(variants)
-        if len(variants) > limit:
-            variants = _evenly_subsample(variants, limit)
-        yield from variants
+        return variants
 
 
 def _evenly_subsample(variants: list[KernelIR], limit: int) -> list[KernelIR]:

@@ -127,17 +127,10 @@ class CodeGenerationPass(Pass):
     """
 
     name = "code_generation"
-    # The dedup set spans the whole variant stream, so the default
-    # per-singleton streaming would be wrong; stream() below keeps the
-    # set alive across incoming variants instead.
-    streamable = False
 
     def run(self, variants: Sequence[KernelIR], ctx: CreatorContext) -> list[KernelIR]:
-        return list(self.stream(iter(variants), ctx))
-
-    def stream(self, variants: Iterator[KernelIR], ctx: CreatorContext) -> Iterator[KernelIR]:
-        """Emit each variant as it arrives, deduplicating incrementally."""
         seen: set[str] = set()
+        out: list[KernelIR] = []
         for ir in variants:
             program = self._emit(ir, ctx)
             text = write_program(program)
@@ -149,7 +142,10 @@ class CodeGenerationPass(Pass):
             program.metadata.update(ir.metadata)
             program.metadata.update(n_loads=n_loads, n_stores=n_stores)
             program.metadata.pop("_induction_start", None)
-            yield ir.evolve(program=program).noting(n_loads=n_loads, n_stores=n_stores)
+            out.append(
+                ir.evolve(program=program).noting(n_loads=n_loads, n_stores=n_stores)
+            )
+        return out
 
     @staticmethod
     def _emit(ir: KernelIR, ctx: CreatorContext) -> AsmProgram:

@@ -53,7 +53,6 @@ Quickstart::
 """
 
 from repro.engine.campaign import Campaign, Job, SweepSpec
-from repro.engine.cache import CacheStats
 from repro.engine.faults import Fault, FaultPlan, InjectedFault
 from repro.engine.gencache import CachedVariant
 from repro.engine.generation import KernelRef, expand_spec_variants
@@ -90,7 +89,6 @@ __all__ = [
     "CachedVariant",
     "Campaign",
     "CampaignRun",
-    "CacheStats",
     "Fault",
     "FaultPlan",
     "InjectedFault",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -71,23 +70,6 @@ def valid_result_record(record: object) -> bool:
     if not all(isinstance(m, dict) for m in measurements):
         return False
     return check_passes(record)
-
-
-@dataclass(slots=True)
-class CacheStats:
-    """Hit/miss/store accounting for one cache lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 def load_legacy_jsonl(

@@ -1,12 +1,12 @@
 """Declarative campaigns: kernel grids x launcher-option axes -> jobs.
 
 A :class:`SweepSpec` names what to measure (explicit kernels, or a kernel
-description expanded through the streaming generator with an optional
-variant filter), a base :class:`~repro.launcher.LauncherOptions`, and the
-option axes to sweep.  A :class:`Campaign` groups sweeps against one
-machine and expands them — deterministically — into :class:`Job` records
-whose IDs hash the measured content (kernel text + options + machine +
-mode), never the expansion order.
+description expanded through :meth:`MicroCreator.generate` with an
+optional variant filter), a base :class:`~repro.launcher.LauncherOptions`,
+and the option axes to sweep.  A :class:`Campaign` groups sweeps against
+one machine and expands them — deterministically — into :class:`Job`
+records whose IDs hash the measured content (kernel text + options +
+machine + mode), never the expansion order.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class SweepSpec:
         Explicit kernel objects (anything the launcher accepts).
     spec:
         Alternatively, a kernel description: variants are generated
-        lazily through :meth:`MicroCreator.stream` at expansion time.
+        through :meth:`MicroCreator.generate` at expansion time.
     variant_filter:
         With ``spec``: keep only variants this predicate accepts (the
         "generated-variant filter" axis of a campaign).
@@ -121,7 +121,7 @@ class SweepSpec:
             raise ValueError(f"unknown option axes: {sorted(unknown)}")
 
     def iter_kernels(self, gen_cache=None) -> Iterator[object]:
-        """The sweep's kernels, generating lazily when given a spec.
+        """The sweep's kernels: explicit ones first, then the spec's variants.
 
         With a :class:`~repro.engine.store.ShardedGenerationCache`, spec
         expansion goes through it: a warm cache skips the pass pipeline,
@@ -131,17 +131,11 @@ class SweepSpec:
         yield from self.kernels
         if self.spec is None:
             return
-        if gen_cache is not None:
-            from repro.engine.generation import expand_spec_variants
+        from repro.engine.generation import expand_spec_variants
 
-            variants: Iterator[object] = iter(
-                expand_spec_variants(self.spec, self.creator_options, gen_cache)
-            )
-        else:
-            from repro.creator import MicroCreator
-
-            variants = MicroCreator(self.creator_options).stream(self.spec)
-        for variant in variants:
+        for variant in expand_spec_variants(
+            self.spec, self.creator_options, gen_cache
+        ):
             if self.variant_filter is None or self.variant_filter(variant):
                 yield variant
 
@@ -165,12 +159,10 @@ class Campaign:
     description: str = ""
 
     def jobs(self, *, gen_cache=None, defer: bool = False) -> Iterator[Job]:
-        """Expand every sweep into jobs, streaming, in deterministic order.
+        """Expand every sweep into jobs, in deterministic order.
 
-        Kernels generated from a spec flow straight from the streaming
-        pass pipeline (or from ``gen_cache`` when one is given and warm):
-        the first jobs are ready to measure while later variants are
-        still being expanded.
+        Kernels from a spec come from one run of the pass pipeline per
+        sweep, or from ``gen_cache`` when one is given and warm.
 
         With ``defer=True``, spec-derived jobs carry a
         :class:`~repro.engine.generation.KernelRef` instead of the
@@ -225,5 +217,5 @@ class Campaign:
                     index += 1
 
     def job_list(self, *, gen_cache=None, defer: bool = False) -> list[Job]:
-        """The fully expanded job list (materializes the stream)."""
+        """The fully expanded job list."""
         return list(self.jobs(gen_cache=gen_cache, defer=defer))

@@ -30,6 +30,7 @@ from typing import Sequence
 
 from repro.engine.cache import check_passes
 from repro.engine.hashing import kernel_digest
+from repro.engine.serialize import _tupled
 from repro.isa.instructions import AsmProgram, Instruction
 
 
@@ -103,15 +104,6 @@ def generation_record(
             for v in variants
         ],
     }
-
-
-def _tupled(value: object) -> object:
-    """Restore the tuple convention JSON storage flattens to lists."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_tupled(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _tupled(v) for k, v in value.items()}
-    return value
 
 
 class CachedVariant:

@@ -80,17 +80,17 @@ def expand_spec_variants(
     (pre-filter — the cache key knows nothing about sweep filters), and
     returns the fresh kernels.
     """
-    spec_dig = spec_digest(spec)
-    opts_dig = creator_options_digest(options)
-    if gen_cache is not None:
-        cached = gen_cache.get(spec_dig, opts_dig)
-        if cached is not None:
-            return cached
     from repro.creator import MicroCreator
 
-    variants: list[object] = list(MicroCreator(options).stream(spec))
-    if gen_cache is not None:
-        gen_cache.put(spec_dig, opts_dig, spec.name, variants)
+    if gen_cache is None:
+        return MicroCreator(options).generate(spec)
+    spec_dig = spec_digest(spec)
+    opts_dig = creator_options_digest(options)
+    cached = gen_cache.get(spec_dig, opts_dig)
+    if cached is not None:
+        return cached
+    variants: list[object] = MicroCreator(options).generate(spec)
+    gen_cache.put(spec_dig, opts_dig, spec.name, variants)
     return variants
 
 
@@ -107,7 +107,7 @@ def resolve_kernel_ref(ref: KernelRef) -> object:
         with obs.span("gen.worker", spec=ref.spec.name) as sp:
             from repro.creator import MicroCreator
 
-            variants = list(MicroCreator(ref.options).stream(ref.spec))
+            variants = MicroCreator(ref.options).generate(ref.spec)
             sp.set(variants=len(variants))
         expansion = {v.variant_id: v for v in variants}  # type: ignore[attr-defined]
         while len(_GEN_MEMO) >= _GEN_MEMO_MAX:

@@ -43,13 +43,12 @@ import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.engine.cache import (
-    CacheStats,
     load_legacy_jsonl,
     record_check,
     valid_result_record,
@@ -210,7 +209,7 @@ class ShardedStore:
         meta_ok = self._read_meta()
         segments = self._segment_files()
         if not segments:
-            # Fresh (or fully cleared) store: establish the layout files.
+            # Fresh store (or its segments deleted): establish the layout.
             # Any leftover index entries point at segments that no longer
             # exist, so reset the index to empty as well.
             self._write_meta()
@@ -617,17 +616,6 @@ class ShardedStore:
                     best = record
         return best
 
-    def iter_records(self) -> Iterator[dict]:
-        """Every recoverable record, later duplicates winning."""
-        latest: dict[str, dict] = {}
-        for _sh, _seg, path in self._segment_files():
-            scan = self._scan_segment(path, keep=True)
-            for (key, _off, _len), record in zip(
-                scan.valids, scan.records or []
-            ):
-                latest[key] = record
-        return iter(latest.values())
-
     # -- write path ----------------------------------------------------
 
     def put_record(self, key: str, record: dict, *, flush: bool = True) -> None:
@@ -731,22 +719,6 @@ class ShardedStore:
             self._index_fh.close()
             self._index_fh = None
 
-    def clear(self) -> None:
-        """Drop every record, every ``seg-*`` file, and the index."""
-        self._close_handles()
-        for path in self.directory.iterdir():
-            if path.name.startswith("seg-") or path.name == "index.bin":
-                path.unlink()
-        self._keys = np.empty(0, dtype="<u8")
-        self._locs = np.empty(0, dtype=ENTRY_DTYPE)
-        self._overlay = {}
-        self._shard_state = {}
-        self._n = 0
-        self._corrupt = 0
-        self._dirty = False
-        self._write_meta()
-        self._write_index(np.empty(0, dtype=ENTRY_DTYPE))
-
     def close(self) -> None:
         self._close_handles()
 
@@ -755,10 +727,7 @@ class ShardedStore:
 
 
 class ShardedResultCache:
-    """Measurement dicts by job ID, stored in ``<dir>/results.shards/``.
-
-    Hit/miss/store accounting in :attr:`stats`.
-    """
+    """Measurement dicts by job ID, stored in ``<dir>/results.shards/``."""
 
     DIRNAME = "results.shards"
     SEGMENT_RECORDS = 4096
@@ -771,7 +740,6 @@ class ShardedResultCache:
         segment_records: int | None = None,
     ) -> None:
         self.directory = Path(directory)
-        self.stats = CacheStats()
         self._store = ShardedStore(
             self.directory / self.DIRNAME,
             key_field="job_id",
@@ -795,16 +763,14 @@ class ShardedResultCache:
         return job_id in self._store
 
     def get(self, job_id: str) -> list[dict] | None:
-        """Stored measurement dicts for ``job_id``, or ``None`` (counted).
+        """Stored measurement dicts for ``job_id``, or ``None``.
 
         Records parse fresh from the segment bytes, so the returned
         dicts are the caller's to mutate.
         """
         record = self._store.get_record(job_id)
         if record is None:
-            self.stats.misses += 1
             return None
-        self.stats.hits += 1
         return record["measurements"]
 
     def put(
@@ -836,11 +802,6 @@ class ShardedResultCache:
                 flush=False,
             )
         self._store.flush()
-        self.stats.stores += len(entries)
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.stats = CacheStats()
 
 
 class ShardedGenerationCache:
@@ -863,7 +824,6 @@ class ShardedGenerationCache:
         segment_records: int | None = None,
     ) -> None:
         self.directory = Path(directory)
-        self.stats = CacheStats()
         self._store = ShardedStore(
             self.directory / self.DIRNAME,
             key_field="key",
@@ -890,10 +850,8 @@ class ShardedGenerationCache:
         """The stored expansion for this spec + options, or ``None``."""
         record = self._store.get_record(key_for(spec_dig, opts_dig))
         if record is None:
-            self.stats.misses += 1
             obs.count("gencache.miss")
             return None
-        self.stats.hits += 1
         obs.count("gencache.hit")
         return variants_from_record(record)
 
@@ -907,11 +865,6 @@ class ShardedGenerationCache:
         """Store one complete expansion (every variant, pre-filter)."""
         record = generation_record(spec_dig, opts_dig, spec_name, variants)
         self._store.put_record(record["key"], record)
-        self.stats.stores += 1
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.stats = CacheStats()
 
 
 # -- factories + migration ---------------------------------------------

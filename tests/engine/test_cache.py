@@ -59,23 +59,6 @@ class TestRoundTrip:
         assert open_result_cache(tmp_path).get("j1") == rows(4)
 
 
-class TestStats:
-    def test_hit_miss_accounting(self, tmp_path):
-        cache = open_result_cache(tmp_path)
-        cache.put("j1", rows())
-        cache.get("j1")
-        cache.get("j2")
-        cache.get("j1")
-        assert cache.stats.hits == 2
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == 1
-        assert cache.stats.lookups == 3
-        assert cache.stats.hit_rate == 2 / 3
-
-    def test_hit_rate_zero_lookups(self, tmp_path):
-        assert open_result_cache(tmp_path).stats.hit_rate == 0.0
-
-
 class TestDamageTolerance:
     def test_torn_last_line_ignored(self, tmp_path):
         torn = '{"job_id": "j2", "measurements": [{"trunc'
@@ -87,13 +70,6 @@ class TestDamageTolerance:
     def test_blank_lines_skipped(self, tmp_path):
         cache = migrated(tmp_path, "\n\n" + result_line("j1", rows()) + "\n\n")
         assert cache.get("j1") == rows()
-
-    def test_clear_removes_everything(self, tmp_path):
-        cache = migrated(tmp_path, result_line("j1", rows()))
-        cache.clear()
-        assert len(cache) == 0
-        # The .migrated file is never read again.
-        assert open_result_cache(tmp_path).get("j1") is None
 
     def test_corrupt_lines_counted(self, tmp_path):
         """A line truncated mid-record is dropped; only valid records
@@ -184,17 +160,6 @@ class TestDamageTolerance:
         damaged.get("j1")[0]["cycles"] = -1.0  # caller misbehaves
         damaged.put("j2", rows())  # triggers the repair rewrite
         assert open_result_cache(tmp_path).get("j1") == [{"cycles": 4.0}]
-
-    def test_clear_resets_stats(self, tmp_path):
-        cache = open_result_cache(tmp_path)
-        cache.put("j1", rows())
-        cache.get("j1")
-        cache.get("missing")
-        cache.clear()
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 0
-        assert cache.stats.stores == 0
-        assert cache.stats.hit_rate == 0.0
 
     def test_repair_rewrite_is_fsynced(self, tmp_path, monkeypatch):
         """Every file a repair replaces is durable before the replace — a

@@ -5,6 +5,7 @@ its directory opens, so damage tolerance is checked as "migrates exactly
 the valid records".
 """
 
+from repro import obs
 from repro.engine import expand_spec_variants, open_generation_cache
 from repro.engine.gencache import CachedVariant, generation_record
 from repro.engine.hashing import creator_options_digest, kernel_digest, spec_digest
@@ -20,21 +21,33 @@ def _expansion(spec):
     )
 
 
+def _counted(lookup):
+    """``lookup()``'s result and the generation-cache counters it bumped."""
+    obs.enable()
+    try:
+        result = lookup()
+        counters = obs.metrics_snapshot()["counters"]
+    finally:
+        obs.disable()
+    return result, {k: v for k, v in counters.items() if k.startswith("gencache.")}
+
+
 class TestRoundTrip:
     def test_miss_returns_none(self, tmp_path):
         cache = open_generation_cache(tmp_path)
-        assert cache.get("nope", "nothing") is None
-        assert cache.stats.misses == 1
+        got, counters = _counted(lambda: cache.get("nope", "nothing"))
+        assert got is None
+        assert counters == {"gencache.miss": 1}
 
     def test_put_then_get(self, tmp_path):
         spec = dot_product_spec(2, unroll=(1, 2))
         spec_dig, opts_dig, kernels = _expansion(spec)
         cache = open_generation_cache(tmp_path)
         cache.put(spec_dig, opts_dig, spec.name, kernels)
-        cached = cache.get(spec_dig, opts_dig)
+        cached, counters = _counted(lambda: cache.get(spec_dig, opts_dig))
         assert cached is not None
         assert len(cached) == len(kernels)
-        assert cache.stats.hits == 1
+        assert counters == {"gencache.hit": 1}
 
     def test_cached_variants_mirror_generated_kernels(self, tmp_path):
         spec = dot_product_spec(2, unroll=(1, 2))

@@ -101,7 +101,7 @@ class TestDeferredJobs:
         base = LauncherOptions(array_bytes=8 * 1024, trip_count=512)
         from repro.creator import MicroCreator
 
-        kernels = tuple(MicroCreator().stream(dot_product_spec(2, unroll=(1, 1))))
+        kernels = tuple(MicroCreator().generate(dot_product_spec(2, unroll=(1, 1))))
         campaign = Campaign(
             name="explicit",
             machine=nehalem_2s_x5650(),

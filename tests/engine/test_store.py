@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.engine import (
     ShardedGenerationCache,
     ShardedResultCache,
@@ -64,25 +65,6 @@ class TestRoundTrip:
         assert reopened.store.shards == 1
         assert reopened.store.segment_records == 5
         assert reopened.get("j1") == [meas(1)]
-
-    def test_stats_accounting(self, small):
-        small.put("j1", [meas(1)])
-        small.get("j1")
-        small.get("j2")
-        small.get("j1")
-        assert small.stats.hits == 2
-        assert small.stats.misses == 1
-        assert small.stats.stores == 1
-
-    def test_clear_removes_everything_and_resets_stats(self, tmp_path, small):
-        for i in range(8):
-            small.put(f"j{i}", [meas(i)])
-        small.get("j1")
-        small.clear()
-        assert len(small) == 0
-        assert small.stats.hits == 0 and small.stats.stores == 0
-        assert len(ShardedResultCache(tmp_path)) == 0
-        assert not list(tmp_path.glob("results.shards/seg-*"))
 
 
 class TestSegments:
@@ -284,10 +266,15 @@ class TestGenerationStore:
         for s in range(5):
             cache.put(f"spec{s}", "opts", f"name{s}", [_FakeKernel(i) for i in range(3)])
         assert len(cache) == 5
-        got = cache.get("spec2", "opts")
+        obs.enable()
+        try:
+            got = cache.get("spec2", "opts")
+            assert cache.get("specX", "opts") is None
+            counters = obs.metrics_snapshot()["counters"]
+        finally:
+            obs.disable()
         assert [v.variant_id for v in got] == [0, 1, 2]
-        assert cache.get("specX", "opts") is None
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert counters["gencache.hit"] == 1 and counters["gencache.miss"] == 1
         reopened = ShardedGenerationCache(tmp_path)
         assert len(reopened) == 5
         assert reopened.get("spec4", "opts")[0].metadata["opcodes"] == ("movaps",)

@@ -13,10 +13,11 @@ from pathlib import Path
 from repro.engine import ShardedGenerationCache, ShardedResultCache
 from repro.engine.cache import record_check
 
-#: Store class -> the legacy file it replaced in the same directory.
+#: Store class -> the legacy file it replaced in the same directory,
+#: and the record field that keys it.
 LEGACY_FILES = (
-    (ShardedResultCache, "results.jsonl"),
-    (ShardedGenerationCache, "gencache.jsonl"),
+    (ShardedResultCache, "results.jsonl", "job_id"),
+    (ShardedGenerationCache, "gencache.jsonl", "key"),
 )
 
 
@@ -40,13 +41,22 @@ def result_line(job_id: str, measurements: list[dict], **fields) -> str:
 
 
 def to_legacy(directory: str | Path) -> None:
-    """Rewrite every store in ``directory`` as its legacy JSONL file."""
+    """Rewrite every store in ``directory`` as its legacy JSONL file.
+
+    Segment lines are read in (shard, segment) order; when a key appears
+    twice the later record wins, as it does in the store.
+    """
     directory = Path(directory)
-    for cache_type, filename in LEGACY_FILES:
-        if not (directory / cache_type.DIRNAME).is_dir():
+    for cache_type, filename, key_field in LEGACY_FILES:
+        shards = directory / cache_type.DIRNAME
+        if not shards.is_dir():
             continue
-        store = cache_type(directory).store
-        lines = [json.dumps(record) + "\n" for record in store.iter_records()]
-        store.close()
+        latest: dict[str, dict] = {}
+        for segment in sorted(shards.glob("seg-*.jsonl")):
+            for line in segment.read_text(encoding="utf-8").splitlines():
+                if line.strip():
+                    record = json.loads(line)
+                    latest[record[key_field]] = record
+        lines = [json.dumps(record) + "\n" for record in latest.values()]
         (directory / filename).write_text("".join(lines), encoding="utf-8")
-        shutil.rmtree(directory / cache_type.DIRNAME)
+        shutil.rmtree(shards)
