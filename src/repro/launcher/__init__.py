@@ -33,10 +33,7 @@ from repro.launcher.measurement import (
 )
 from repro.launcher.launcher import MicroLauncher
 from repro.launcher.parallel import ForkResult, OpenMPResult
-from repro.launcher.stopping import (
-    bootstrap_ci,
-    run_adaptive_measurement_batch,
-)
+from repro.launcher.stopping import bootstrap_ci
 from repro.launcher.mpi import LinkModel, MPIResult, run_mpi
 from repro.launcher.standalone import StandaloneResult, run_standalone
 from repro.launcher.csvout import write_csv
@@ -53,7 +50,6 @@ __all__ = [
     "MeasurementSeries",
     "run_measurement_batch",
     "bootstrap_ci",
-    "run_adaptive_measurement_batch",
     "MicroLauncher",
     "ForkResult",
     "OpenMPResult",

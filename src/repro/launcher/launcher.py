@@ -64,7 +64,7 @@ class MicroLauncher:
         options = options or LauncherOptions()
         sim = as_sim_kernel(kernel, trip_count=options.trip_count)
         bindings = ArrayAllocator(sim, options).bindings()
-        return self._measure(
+        measurement = self._measure(
             sim,
             options,
             bindings,
@@ -72,6 +72,8 @@ class MicroLauncher:
             core=options.core if options.pin else None,
             noise_salt=noise_salt,
         )
+        self._maybe_csv(options, [measurement])
+        return measurement
 
     def run_with_bindings(
         self,
@@ -90,7 +92,7 @@ class MicroLauncher:
         """
         options = options or LauncherOptions()
         sim = as_sim_kernel(kernel, trip_count=options.trip_count)
-        return self._measure(
+        measurement = self._measure(
             sim,
             options,
             bindings,
@@ -99,6 +101,8 @@ class MicroLauncher:
             alignments=tuple(b.alignment for b in bindings.values()),
             noise_salt=noise_salt,
         )
+        self._maybe_csv(options, [measurement])
+        return measurement
 
     def run_batch(
         self,
@@ -135,15 +139,7 @@ class MicroLauncher:
                         )
                     )
             batch_span.set(batch=len(requests))
-            obs.observe("launcher.batch.size", len(requests), bounds=obs.SIZE_BUCKETS)
-            with obs.span("launcher.measure", metric="launcher.sim.duration_ms"):
-                measurements = run_measurement_batch(
-                    requests,
-                    options=options,
-                    freq_ghz=options.frequency_ghz or self.config.freq_ghz,
-                    tsc_ghz=self.config.freq_ghz,
-                    noise=self._noise_for(options, noise_salt),
-                )
+            measurements = self._replay(requests, options, noise_salt)
         self._maybe_csv(options, measurements)
         return MeasurementSeries(measurements)
 
@@ -192,6 +188,12 @@ class MicroLauncher:
             return self._noise_override
         return NoiseModel(seed=options.noise_seed + salt)
 
+    def _pinned(self, options: LauncherOptions, n: int) -> list[int]:
+        """The ``n`` cores a multi-process run pins to, by ``pin_policy``."""
+        if options.pin_policy == "compact":
+            return self.machine.pin_compact(n)
+        return self.machine.pin_scatter(n)
+
     def _request(
         self,
         sim: SimKernel,
@@ -203,11 +205,19 @@ class MicroLauncher:
         alignments: tuple[int, ...] = (),
         n_cores: int = 1,
         extra_metadata: dict[str, object] | None = None,
+        iterations: int | None = None,
     ) -> MeasurementRequest:
         """Evaluate the machine model for one configuration.
 
         Everything up to (but excluding) the noisy Fig.-10 replay: the
-        noise-free half of a measurement, batchable across a sweep.
+        noise-free half of a measurement, batchable across a sweep.  The
+        one model path of every execution mode: it resolves residences
+        (``residence_mode``), evaluates the per-iteration time with
+        ``active_cores_on_socket`` sharing the socket, and attaches the
+        evaluation library's counters (``eval_library``).
+        ``iterations`` is how many loop iterations one call's ideal
+        covers — the kernel's full loop by default, one thread's share
+        under OpenMP — while ``loop_iterations`` stays the full loop.
         """
         freq = options.frequency_ghz or self.config.freq_ghz
         if options.residence_mode != "footprint":
@@ -224,16 +234,17 @@ class MicroLauncher:
         )
         iter_ns = timing.time_ns(freq)
         loop_iters = sim.loop_iterations_for(options.trip_count)
+        call_iters = loop_iters if iterations is None else iterations
         metadata = dict(sim.metadata)
         metadata.update(extra_metadata or {})
         if options.eval_library != "rdtsc":
             from repro.launcher.evallib import eval_library
 
             metadata["counters"] = eval_library(options.eval_library).counters(
-                sim.analysis, bindings, self.config, loop_iters
+                sim.analysis, bindings, self.config, call_iters
             )
         return MeasurementRequest(
-            ideal_call_ns=iter_ns * loop_iters,
+            ideal_call_ns=iter_ns * call_iters,
             kernel_name=sim.name,
             loop_iterations=loop_iters,
             elements_per_iteration=sim.elements_per_iteration,
@@ -245,6 +256,24 @@ class MicroLauncher:
             metadata=metadata,
         )
 
+    def _replay(
+        self,
+        requests: list[MeasurementRequest],
+        options: LauncherOptions,
+        noise_salt: int,
+    ) -> list[Measurement]:
+        """Replay the Fig.-10 loops for modelled configurations sharing
+        one noise context — every entry point's measurement step."""
+        obs.observe("launcher.batch.size", len(requests), bounds=obs.SIZE_BUCKETS)
+        with obs.span("launcher.measure", metric="launcher.sim.duration_ms"):
+            return run_measurement_batch(
+                requests,
+                options=options,
+                freq_ghz=options.frequency_ghz or self.config.freq_ghz,
+                tsc_ghz=self.config.freq_ghz,
+                noise=self._noise_for(options, noise_salt),
+            )
+
     def _measure(
         self,
         sim: SimKernel,
@@ -254,7 +283,6 @@ class MicroLauncher:
         active_cores_on_socket: int,
         core: int | None,
         alignments: tuple[int, ...] = (),
-        n_cores: int = 1,
         noise_salt: int = 0,
         extra_metadata: dict[str, object] | None = None,
     ) -> Measurement:
@@ -271,23 +299,9 @@ class MicroLauncher:
                     active_cores_on_socket=active_cores_on_socket,
                     core=core,
                     alignments=alignments,
-                    n_cores=n_cores,
                     extra_metadata=extra_metadata,
                 )
-            obs.observe("launcher.batch.size", 1, bounds=obs.SIZE_BUCKETS)
-            with obs.span(
-                "launcher.measure", metric="launcher.sim.duration_ms"
-            ):
-                measurement = run_measurement_batch(
-                    [request],
-                    options=options,
-                    freq_ghz=options.frequency_ghz or self.config.freq_ghz,
-                    tsc_ghz=self.config.freq_ghz,
-                    noise=self._noise_for(options, noise_salt),
-                )[0]
-        if n_cores == 1 and not alignments:
-            self._maybe_csv(options, [measurement])
-        return measurement
+            return self._replay([request], options, noise_salt)[0]
 
     def _maybe_csv(self, options: LauncherOptions, measurements: list[Measurement]) -> None:
         if options.csv_path:

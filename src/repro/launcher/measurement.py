@@ -25,7 +25,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.launcher.options import LauncherOptions
+from repro.launcher.stopping import EXPERIMENT_BUCKETS, bootstrap_ci
 from repro.machine.noise import NoiseEnvironment, NoiseModel
 
 #: Simulated cost of one kernel-function invocation (call, prologue,
@@ -224,8 +226,8 @@ class MeasurementSeries:
 class MeasurementRequest:
     """One configuration of a batched measurement sweep.
 
-    Everything :func:`run_measurement` takes per configuration; the
-    shared knobs (options, frequencies, noise model) live on the batch
+    Everything the Fig.-10 replay needs per configuration; the shared
+    knobs (options, frequencies, noise model) live on the batch
     call so a whole kernel family can be timed in one vectorized pass.
     """
 
@@ -253,33 +255,27 @@ def run_measurement_batch(
     """Replay the Fig.-10 algorithm for many configurations at once.
 
     All configurations share one options/noise context — the shape of a
-    variant-family sweep, where only the kernel changes.  The whole
-    ``n_configs x n_experiments`` grid perturbs in a single
-    :meth:`~repro.machine.noise.NoiseModel.perturb_batch` call, and every
-    returned record is bit-identical to what the per-configuration
-    :func:`run_measurement` would produce.
+    variant-family sweep, where only the kernel changes.  Experiments run
+    in rounds, each one
+    :meth:`~repro.machine.noise.NoiseModel.perturb_batch` grid over the
+    configurations still sampling.  A fixed-count run is a single round
+    of ``options.experiments``.  Under adaptive stopping the first round
+    is ``min_experiments``, and later rounds add ``batch_size`` for every
+    configuration whose bootstrapped RCIW still exceeds ``rciw_target``
+    (see :mod:`repro.launcher.stopping`), up to ``max_experiments``.
+    Noise draws are element-wise per experiment index, so every adaptive
+    sample sequence is a prefix of the fixed-count run's.
     """
     requests = list(requests)
     if not requests:
         return []
-    if options.adaptive:
-        # Lazy import: stopping.py builds on this module's batch grid.
-        from repro.launcher.stopping import run_adaptive_measurement_batch
-
-        return run_adaptive_measurement_batch(
-            requests,
-            options=options,
-            freq_ghz=freq_ghz,
-            tsc_ghz=tsc_ghz,
-            noise=noise,
-        )
     env = NoiseEnvironment(
         pinned=options.pin,
         interrupts_disabled=options.disable_interrupts,
         warmed_up=options.warmup,
         inner_repetitions=options.repetitions,
     )
-    n_experiments = options.experiments
+    budget = options.experiment_budget
 
     # Step 1 - overhead measurement (an empty-call timing, itself noisy).
     # The overhead stream (-1) and raw duration are configuration-
@@ -293,93 +289,94 @@ def run_measurement_batch(
 
     # Steps 2-3 - warm-up happens implicitly: when options.warmup is set
     # the noise model never applies the cold-start factor; when it is not,
-    # each configuration's first experiment pays it.
-    ideals = np.empty((len(requests), n_experiments))
+    # each configuration's first experiment pays it.  Ideal durations
+    # cover the whole budget; rounds slice columns out of this grid.
+    ideals = np.empty((len(requests), budget))
     for k, request in enumerate(requests):
         if request.per_experiment_ideal_ns is not None:
             per_experiment = list(request.per_experiment_ideal_ns)
-            if len(per_experiment) < n_experiments:
+            if len(per_experiment) < budget:
                 raise ValueError(
                     f"per_experiment_ideal_ns has {len(per_experiment)} "
-                    f"entries; need {n_experiments}"
+                    f"entries; need {budget}"
                 )
-            ideals[k] = per_experiment[:n_experiments]
+            ideals[k] = per_experiment[:budget]
         else:
             ideals[k] = request.ideal_call_ns
     durations = options.repetitions * (ideals + CALL_OVERHEAD_NS)
-    first_run_mask = np.arange(n_experiments) == 0
-    perturbed = noise.perturb_batch(
-        durations, env, range(n_experiments), first_run_mask=first_run_mask
+
+    tsc_samples: list[list[float]] = [[] for _ in requests]
+    quality: list[tuple[float, float, float, bool] | None] = [None] * len(
+        requests
     )
-    tsc = np.maximum(perturbed - overhead_estimate_ns, 0.0) * tsc_ghz
-
-    return [
-        Measurement(
-            kernel_name=request.kernel_name,
-            label=options.label,
-            trip_count=options.trip_count,
-            repetitions=options.repetitions,
-            loop_iterations=request.loop_iterations,
-            elements_per_iteration=request.elements_per_iteration,
-            n_memory_instructions=request.n_memory_instructions,
-            experiment_tsc=tuple(float(t) for t in tsc[k]),
-            freq_ghz=freq_ghz,
-            tsc_ghz=tsc_ghz,
-            aggregator=options.aggregator,
-            alignments=request.alignments,
-            core=request.core,
-            n_cores=request.n_cores,
-            bottleneck=request.bottleneck,
-            metadata=dict(request.metadata or {}),
+    adaptive = options.adaptive
+    live = list(range(len(requests)))
+    n_done = 0
+    step = options.min_experiments if adaptive else options.experiments
+    while live:
+        step = min(step, budget - n_done)
+        # Every configuration is live in the first round.
+        rows = durations if n_done == 0 else durations[live]
+        perturbed = noise.perturb_batch(
+            rows[:, n_done : n_done + step],
+            env,
+            range(n_done, n_done + step),
+            first_run_mask=np.arange(n_done, n_done + step) == 0,
         )
-        for k, request in enumerate(requests)
-    ]
+        tsc = np.maximum(perturbed - overhead_estimate_ns, 0.0) * tsc_ghz
+        n_done += step
+        still_live = []
+        for cfg, row in zip(live, tsc.tolist()):
+            tsc_samples[cfg].extend(row)
+            if adaptive:
+                # The bootstrap runs on the headline metric, not raw TSC,
+                # so rciw_target means the same across repetition and
+                # unroll settings.
+                cpi = np.asarray(tsc_samples[cfg]) / (
+                    options.repetitions * requests[cfg].loop_iterations
+                )
+                ci_low, ci_high, rciw = bootstrap_ci(cpi, noise.seed)
+                converged = rciw <= options.rciw_target
+                if converged or n_done >= budget:
+                    quality[cfg] = (ci_low, ci_high, rciw, converged)
+                    obs.count(
+                        "stopping.converged" if converged else "stopping.capped"
+                    )
+                    obs.observe(
+                        "stopping.experiments",
+                        float(n_done),
+                        bounds=EXPERIMENT_BUCKETS,
+                    )
+                else:
+                    still_live.append(cfg)
+        live = still_live
+        step = options.batch_size
 
-
-def run_measurement(
-    *,
-    ideal_call_ns: float,
-    kernel_name: str,
-    options: LauncherOptions,
-    loop_iterations: int,
-    elements_per_iteration: int,
-    n_memory_instructions: int,
-    freq_ghz: float,
-    tsc_ghz: float,
-    noise: NoiseModel,
-    alignments: tuple[int, ...] = (),
-    core: int | None = None,
-    n_cores: int = 1,
-    bottleneck: str = "",
-    metadata: dict[str, object] | None = None,
-    per_experiment_ideal_ns: Sequence[float] | None = None,
-) -> Measurement:
-    """Replay the Fig.-10 algorithm against the simulated clock.
-
-    ``ideal_call_ns`` is the machine model's duration for one kernel call
-    (loop iterations x per-iteration time); ``per_experiment_ideal_ns``
-    optionally varies it per outer-loop experiment (unsynchronized
-    parallel runs do).  A batch of one on the vectorized fast path — see
-    :func:`run_measurement_batch`.
-    """
-    return run_measurement_batch(
-        [
-            MeasurementRequest(
-                ideal_call_ns=ideal_call_ns,
-                kernel_name=kernel_name,
-                loop_iterations=loop_iterations,
-                elements_per_iteration=elements_per_iteration,
-                n_memory_instructions=n_memory_instructions,
-                alignments=alignments,
-                core=core,
-                n_cores=n_cores,
-                bottleneck=bottleneck,
-                metadata=metadata,
-                per_experiment_ideal_ns=per_experiment_ideal_ns,
+    results = []
+    for k, request in enumerate(requests):
+        ci_low, ci_high, rciw, converged = quality[k] or (None,) * 4
+        results.append(
+            Measurement(
+                kernel_name=request.kernel_name,
+                label=options.label,
+                trip_count=options.trip_count,
+                repetitions=options.repetitions,
+                loop_iterations=request.loop_iterations,
+                elements_per_iteration=request.elements_per_iteration,
+                n_memory_instructions=request.n_memory_instructions,
+                experiment_tsc=tuple(tsc_samples[k]),
+                freq_ghz=freq_ghz,
+                tsc_ghz=tsc_ghz,
+                aggregator=options.aggregator,
+                alignments=request.alignments,
+                core=request.core,
+                n_cores=request.n_cores,
+                bottleneck=request.bottleneck,
+                metadata=dict(request.metadata or {}),
+                ci_low=ci_low,
+                ci_high=ci_high,
+                rciw=rciw,
+                converged=converged,
             )
-        ],
-        options=options,
-        freq_ghz=freq_ghz,
-        tsc_ghz=tsc_ghz,
-        noise=noise,
-    )[0]
+        )
+    return results

@@ -21,14 +21,13 @@ trade-off the fork experiments expose, now with a communication term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import statistics
 
 from repro.launcher.arrays import ArrayAllocator
 from repro.launcher.kernel_input import as_sim_kernel
-from repro.launcher.measurement import Measurement, run_measurement
+from repro.launcher.measurement import Measurement
 from repro.launcher.options import LauncherOptions
-from repro.machine.pipeline import estimate_iteration_time
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,24 +89,11 @@ def run_mpi(
     link = link or LinkModel()
     sim = as_sim_kernel(kernel, trip_count=options.trip_count)
     machine = launcher.machine
-    if options.pin_policy == "compact":
-        pinned = machine.pin_compact(ranks)
-    else:
-        pinned = machine.pin_scatter(ranks)
+    pinned = launcher._pinned(options, ranks)
     allocator = ArrayAllocator(sim, options)
-    freq = options.frequency_ghz or launcher.config.freq_ghz
-    loop_iters = sim.loop_iterations_for(options.trip_count)
 
     result = MPIResult(pinned_cores=pinned)
     for rank, core_id in enumerate(pinned):
-        peers = machine.peers_on_socket(core_id, pinned)
-        timing = estimate_iteration_time(
-            sim.analysis,
-            allocator.bindings(),
-            launcher.config,
-            active_cores_on_socket=peers,
-        )
-        compute_ns = timing.time_ns(freq) * loop_iters
         comm_ns = 0.0
         if ranks > 1 and message_bytes > 0:
             for neighbour in ((rank - 1) % ranks, (rank + 1) % ranks):
@@ -115,27 +101,22 @@ def run_mpi(
                 comm_ns = max(
                     comm_ns, link.message_ns(message_bytes, same_socket=same)
                 )
-        measurement = run_measurement(
-            ideal_call_ns=compute_ns + comm_ns,
-            kernel_name=sim.name,
-            options=options,
-            loop_iterations=loop_iters,
-            elements_per_iteration=sim.elements_per_iteration,
-            n_memory_instructions=sim.analysis.n_loads + sim.analysis.n_stores,
-            freq_ghz=freq,
-            tsc_ghz=launcher.config.freq_ghz,
-            noise=launcher._noise_for(options, 1000 + core_id),
+        request = launcher._request(
+            sim,
+            options,
+            allocator.bindings(),
+            active_cores_on_socket=machine.peers_on_socket(core_id, pinned),
             core=core_id,
             n_cores=ranks,
-            bottleneck=timing.bottleneck,
-            metadata=dict(
-                sim.metadata,
-                rank=rank,
-                socket=machine.socket_of(core_id),
-                comm_ns=comm_ns,
-            ),
+            extra_metadata={
+                "rank": rank,
+                "socket": machine.socket_of(core_id),
+                "comm_ns": comm_ns,
+            },
         )
-        result.per_rank.append(measurement)
+        compute_ns = request.ideal_call_ns
+        request = replace(request, ideal_call_ns=compute_ns + comm_ns)
+        result.per_rank.extend(launcher._replay([request], options, 1000 + core_id))
         result.compute_ns_per_call = max(result.compute_ns_per_call, compute_ns)
         result.communication_ns_per_call = max(
             result.communication_ns_per_call, comm_ns

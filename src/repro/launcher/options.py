@@ -66,7 +66,8 @@ class LauncherOptions:
         a configuration stops as soon as the bootstrapped relative
         confidence-interval width of its cycles-per-iteration falls to
         or under this target (see :mod:`repro.launcher.stopping`).
-        ``0.0`` (the default) keeps the fixed-count path.
+        ``0.0`` (the default) runs exactly ``experiments`` experiments,
+        the one-round case of the same sampling loop.
     min_experiments / max_experiments:
         Adaptive mode's floor and cap on outer-loop experiments; the
         convergence test never fires before ``min_experiments`` and a

@@ -15,15 +15,15 @@ plus the bandwidth roofline reproduce Table 2's flat OpenMP column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 import statistics
 
 from repro.launcher.arrays import ArrayAllocator
 from repro.launcher.kernel_input import as_sim_kernel
-from repro.launcher.measurement import Measurement, run_measurement
+from repro.launcher.measurement import Measurement
 from repro.launcher.options import LauncherOptions
 from repro.machine.noise import NoiseModel
-from repro.machine.pipeline import estimate_iteration_time
 
 
 @dataclass(slots=True, repr=False)
@@ -106,56 +106,41 @@ def run_forked(launcher, kernel: object, options: LauncherOptions) -> ForkResult
     """Run ``options.n_cores`` pinned copies of the kernel concurrently."""
     sim = as_sim_kernel(kernel, trip_count=options.trip_count)
     machine = launcher.machine
-    if options.pin_policy == "compact":
-        pinned = machine.pin_compact(options.n_cores)
-    else:
-        pinned = machine.pin_scatter(options.n_cores)
+    pinned = launcher._pinned(options, options.n_cores)
     allocator = ArrayAllocator(sim, options)
-    freq = options.frequency_ghz or launcher.config.freq_ghz
-    loop_iters = sim.loop_iterations_for(options.trip_count)
     result = ForkResult(pinned_cores=pinned)
     for core_id in pinned:
         peers = machine.peers_on_socket(core_id, pinned)
-        bindings = allocator.bindings()
-        timing = estimate_iteration_time(
-            sim.analysis, bindings, launcher.config, active_cores_on_socket=peers
+        model = partial(
+            launcher._request,
+            sim,
+            options,
+            allocator.bindings(),
+            core=core_id,
+            n_cores=options.n_cores,
         )
-        per_experiment = None
+        request = model(
+            active_cores_on_socket=peers,
+            extra_metadata={"socket": machine.socket_of(core_id), "peers": peers},
+        )
         if not options.sync_start:
             # Unsynchronized processes overlap only partially: each
             # experiment sees a random number of concurrent peers, so the
             # measured contention is both lower and unstable — the reason
             # the launcher synchronizes before timing.
             rng = NoiseModel(seed=options.noise_seed + core_id).rng_for(0)
-            per_experiment = []
+            ideal_at = {
+                active: model(active_cores_on_socket=active).ideal_call_ns
+                for active in range(1, peers + 1)
+            }
             # Budget, not count: adaptive stopping may consume up to
             # max_experiments, and the ideals must cover the whole grid.
-            for _ in range(options.experiment_budget):
-                active = int(rng.integers(1, peers + 1))
-                t = estimate_iteration_time(
-                    sim.analysis,
-                    bindings,
-                    launcher.config,
-                    active_cores_on_socket=active,
-                )
-                per_experiment.append(t.time_ns(freq) * loop_iters)
-        measurement = run_measurement(
-            ideal_call_ns=timing.time_ns(freq) * loop_iters,
-            kernel_name=sim.name,
-            options=options,
-            loop_iterations=loop_iters,
-            elements_per_iteration=sim.elements_per_iteration,
-            n_memory_instructions=sim.analysis.n_loads + sim.analysis.n_stores,
-            freq_ghz=freq,
-            tsc_ghz=launcher.config.freq_ghz,
-            noise=launcher._noise_for(options, core_id),
-            core=core_id,
-            n_cores=options.n_cores,
-            bottleneck=timing.bottleneck,
-            metadata=dict(sim.metadata, socket=machine.socket_of(core_id), peers=peers),
-            per_experiment_ideal_ns=per_experiment,
-        )
-        result.per_core.append(measurement)
+            per_experiment = [
+                ideal_at[int(rng.integers(1, peers + 1))]
+                for _ in range(options.experiment_budget)
+            ]
+            request = replace(request, per_experiment_ideal_ns=per_experiment)
+        result.per_core.extend(launcher._replay([request], options, core_id))
     launcher._maybe_csv(options, result.per_core)
     return result
 
@@ -178,7 +163,6 @@ def run_openmp(launcher, kernel: object, options: LauncherOptions) -> OpenMPResu
             f"{len(machine.cores)} cores"
         )
     pinned = machine.pin_compact(threads)
-    freq = options.frequency_ghz or launcher.config.freq_ghz
 
     # Per-thread share of the global iteration space.
     global_iters = sim.loop_iterations_for(options.trip_count)
@@ -186,40 +170,30 @@ def run_openmp(launcher, kernel: object, options: LauncherOptions) -> OpenMPResu
 
     # The region runs at the pace of the slowest thread; with an even
     # split that is any thread on the most-contended socket.
-    worst_ns = 0.0
-    bottleneck = ""
     bindings = ArrayAllocator(sim, options).bindings()
-    for core_id in pinned:
-        peers = machine.peers_on_socket(core_id, pinned)
-        timing = estimate_iteration_time(
-            sim.analysis, bindings, launcher.config, active_cores_on_socket=peers
-        )
-        thread_ns = timing.time_ns(freq) * per_thread_iters
-        if thread_ns > worst_ns:
-            worst_ns = thread_ns
-            bottleneck = timing.bottleneck
-    region_ns = options.omp_region_overhead_ns if threads > 1 else 0.0
-    call_ns = worst_ns + region_ns
-
-    measurement = run_measurement(
-        ideal_call_ns=call_ns,
-        kernel_name=sim.name,
-        options=options,
-        loop_iterations=global_iters,
-        elements_per_iteration=sim.elements_per_iteration,
-        n_memory_instructions=sim.analysis.n_loads + sim.analysis.n_stores,
-        freq_ghz=freq,
-        tsc_ghz=launcher.config.freq_ghz,
-        noise=launcher._noise_for(options, threads),
-        n_cores=threads,
-        bottleneck=bottleneck,
-        metadata=dict(sim.metadata, omp_threads=threads),
+    slowest = max(
+        (
+            launcher._request(
+                sim,
+                options,
+                bindings,
+                active_cores_on_socket=machine.peers_on_socket(core_id, pinned),
+                core=None,
+                n_cores=threads,
+                extra_metadata={"omp_threads": threads},
+                iterations=per_thread_iters,
+            )
+            for core_id in pinned
+        ),
+        key=lambda r: r.ideal_call_ns,
     )
-    total_seconds = measurement.total_seconds
+    region_ns = options.omp_region_overhead_ns if threads > 1 else 0.0
+    request = replace(slowest, ideal_call_ns=slowest.ideal_call_ns + region_ns)
+    measurement = launcher._replay([request], options, threads)[0]
     launcher._maybe_csv(options, [measurement])
     return OpenMPResult(
         measurement=measurement,
         threads=threads,
         region_overhead_ns=region_ns,
-        total_seconds=total_seconds,
+        total_seconds=measurement.total_seconds,
     )

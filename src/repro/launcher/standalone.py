@@ -21,7 +21,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from repro.launcher.measurement import Measurement, run_measurement
+from repro.launcher.measurement import Measurement, MeasurementRequest
 from repro.launcher.options import LauncherOptions
 
 #: A standalone application: fixed duration, or contention-aware callable.
@@ -82,29 +82,23 @@ def run_standalone(
     options = options or LauncherOptions()
     machine = launcher.machine
     n = max(1, options.n_cores)
-    if options.pin_policy == "compact":
-        pinned = machine.pin_compact(n)
-    else:
-        pinned = machine.pin_scatter(n)
+    pinned = launcher._pinned(options, n)
     result = StandaloneResult(pinned_cores=pinned)
     for core_id in pinned:
         peers = machine.peers_on_socket(core_id, pinned)
-        duration_ns = _work_ns(work, launcher.config, peers)
-        measurement = run_measurement(
-            ideal_call_ns=duration_ns,
+        request = MeasurementRequest(
+            ideal_call_ns=_work_ns(work, launcher.config, peers),
             kernel_name=name,
-            options=options,
             loop_iterations=1,
             elements_per_iteration=1,
             n_memory_instructions=0,
-            freq_ghz=options.frequency_ghz or launcher.config.freq_ghz,
-            tsc_ghz=launcher.config.freq_ghz,
-            noise=launcher._noise_for(options, 2000 + core_id),
             core=core_id,
             n_cores=n,
             bottleneck="standalone",
             metadata={"socket": machine.socket_of(core_id), "peers": peers},
         )
-        result.per_process.append(measurement)
+        result.per_process.extend(
+            launcher._replay([request], options, 2000 + core_id)
+        )
     launcher._maybe_csv(options, result.per_process)
     return result

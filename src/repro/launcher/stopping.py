@@ -3,13 +3,16 @@
 Fixed-count measurement runs every configuration for
 ``LauncherOptions.experiments`` outer-loop experiments regardless of how
 noisy it is — stable configs waste time, noisy ones ship untrustworthy
-numbers.  This module implements the sequential-sampling alternative
+numbers.  This module holds the sequential-sampling stopping rule
 (nanoBench's variability-aware measurement, with the LLM4JMH RCIW
-convergence rule as the stopping test): run experiments in batches,
-bootstrap the confidence interval of mean cycles-per-iteration after
-each batch, and stop a configuration as soon as its *relative
-confidence-interval width* ``(ci_high - ci_low) / mean`` falls to or
-under ``rciw_target`` — or unconditionally at ``max_experiments``.
+convergence rule as the stopping test) that
+:func:`~repro.launcher.measurement.run_measurement_batch` applies between
+its sampling rounds: bootstrap the confidence interval of mean
+cycles-per-iteration after each round, and stop a configuration as soon
+as its *relative confidence-interval width* ``(ci_high - ci_low) /
+mean`` falls to or under ``rciw_target`` — or unconditionally at
+``max_experiments``.  A fixed-count run is the one-round case of the
+same loop, with no bootstrap.
 
 Determinism is structural, not incidental:
 
@@ -19,8 +22,7 @@ Determinism is structural, not incidental:
   on which other configurations share the batch.  Adaptive samples are
   therefore a *prefix* of the fixed-count run's samples: configurations
   that converge drop out of later rounds without shifting anybody
-  else's draws, and ``min_experiments == max_experiments`` reproduces
-  the fixed path bit-for-bit.
+  else's draws.
 - Bootstrap resampling uses a shared index matrix keyed only by
   ``(seed, n_samples)`` — independent of configuration order, batch
   composition, chunking, worker count, and resume position.
@@ -34,15 +36,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro import obs
-from repro.launcher.measurement import (
-    CALL_OVERHEAD_NS,
-    Measurement,
-    MeasurementRequest,
-)
-from repro.launcher.options import LauncherOptions
-from repro.machine.noise import NoiseEnvironment, NoiseModel
 
 #: Bootstrap resamples per convergence check.  Enough for a stable
 #: percentile CI of the mean at microbenchmark sample sizes; small
@@ -182,139 +175,3 @@ def bootstrap_ci(
     else:
         rciw = 0.0 if ci_high == ci_low else float("inf")
     return ci_low, ci_high, rciw
-
-
-def run_adaptive_measurement_batch(
-    requests: Sequence[MeasurementRequest],
-    *,
-    options: LauncherOptions,
-    freq_ghz: float,
-    tsc_ghz: float,
-    noise: NoiseModel,
-) -> list[Measurement]:
-    """The Fig.-10 algorithm under the adaptive RCIW stopping rule.
-
-    Runs an initial batch of ``min_experiments`` for every configuration,
-    then rounds of ``batch_size`` for the configurations whose relative
-    CI width still exceeds ``rciw_target`` — re-batched together through
-    one :meth:`~repro.machine.noise.NoiseModel.perturb_batch` grid per
-    round, never measured one at a time.  A configuration that never
-    converges stops at ``max_experiments`` with ``converged=False``.
-
-    Drop-in for :func:`~repro.launcher.measurement.run_measurement_batch`
-    (which dispatches here whenever ``options.adaptive``); every returned
-    record carries the quality fields ``ci_low`` / ``ci_high`` / ``rciw``
-    / ``converged``, and its ``experiment_tsc`` prefix is bit-identical
-    to what the fixed-count path produces for the same seed.
-    """
-    requests = list(requests)
-    if not requests:
-        return []
-    env = NoiseEnvironment(
-        pinned=options.pin,
-        interrupts_disabled=options.disable_interrupts,
-        warmed_up=options.warmup,
-        inner_repetitions=options.repetitions,
-    )
-    budget = options.max_experiments
-
-    # Overhead measurement: stream -1, one estimate for the whole batch —
-    # exactly the fixed path's step 1.
-    overhead_estimate_ns = 0.0
-    if options.subtract_overhead:
-        raw = options.repetitions * CALL_OVERHEAD_NS
-        overhead_estimate_ns = float(
-            noise.perturb_batch(np.array([raw]), env, (-1,))[0]
-        )
-
-    # Ideal durations for the full budget up front; adaptive rounds slice
-    # columns out of this grid.
-    ideals = np.empty((len(requests), budget))
-    for k, request in enumerate(requests):
-        if request.per_experiment_ideal_ns is not None:
-            per_experiment = list(request.per_experiment_ideal_ns)
-            if len(per_experiment) < budget:
-                raise ValueError(
-                    f"per_experiment_ideal_ns has {len(per_experiment)} "
-                    f"entries; adaptive stopping needs max_experiments "
-                    f"({budget})"
-                )
-            ideals[k] = per_experiment[:budget]
-        else:
-            ideals[k] = request.ideal_call_ns
-    durations_full = options.repetitions * (ideals + CALL_OVERHEAD_NS)
-
-    # Cycles-per-iteration divisor per configuration; the bootstrap runs
-    # on the headline metric, not raw TSC, so rciw_target means the same
-    # thing across repetition/unroll settings.
-    divisors = np.array(
-        [options.repetitions * r.loop_iterations for r in requests],
-        dtype=np.float64,
-    )
-
-    tsc_samples: list[list[float]] = [[] for _ in requests]
-    quality: list[tuple[float, float, float, bool] | None] = [None] * len(
-        requests
-    )
-    live = list(range(len(requests)))
-    n_done = 0
-    while live:
-        step = options.min_experiments if n_done == 0 else options.batch_size
-        step = min(step, budget - n_done)
-        exp_indices = range(n_done, n_done + step)
-        first_run_mask = np.arange(n_done, n_done + step) == 0
-        durations = durations_full[np.array(live)][:, n_done : n_done + step]
-        perturbed = noise.perturb_batch(
-            durations, env, exp_indices, first_run_mask=first_run_mask
-        )
-        tsc = np.maximum(perturbed - overhead_estimate_ns, 0.0) * tsc_ghz
-        n_done += step
-
-        still_live = []
-        for row, cfg in enumerate(live):
-            tsc_samples[cfg].extend(float(t) for t in tsc[row])
-            cpi = np.asarray(tsc_samples[cfg]) / divisors[cfg]
-            ci_low, ci_high, rciw = bootstrap_ci(cpi, noise.seed)
-            converged = rciw <= options.rciw_target
-            if converged or n_done >= budget:
-                quality[cfg] = (ci_low, ci_high, rciw, converged)
-                obs.count(
-                    "stopping.converged" if converged else "stopping.capped"
-                )
-                obs.observe(
-                    "stopping.experiments",
-                    float(n_done),
-                    bounds=EXPERIMENT_BUCKETS,
-                )
-            else:
-                still_live.append(cfg)
-        live = still_live
-
-    results = []
-    for k, request in enumerate(requests):
-        ci_low, ci_high, rciw, converged = quality[k]  # type: ignore[misc]
-        results.append(
-            Measurement(
-                kernel_name=request.kernel_name,
-                label=options.label,
-                trip_count=options.trip_count,
-                repetitions=options.repetitions,
-                loop_iterations=request.loop_iterations,
-                elements_per_iteration=request.elements_per_iteration,
-                n_memory_instructions=request.n_memory_instructions,
-                experiment_tsc=tuple(tsc_samples[k]),
-                freq_ghz=freq_ghz,
-                tsc_ghz=tsc_ghz,
-                aggregator=options.aggregator,
-                alignments=request.alignments,
-                core=request.core,
-                n_cores=request.n_cores,
-                bottleneck=request.bottleneck,
-                metadata=dict(request.metadata or {}),
-                ci_low=ci_low,
-                ci_high=ci_high,
-                rciw=rciw,
-                converged=converged,
-            )
-        )
-    return results

@@ -7,8 +7,9 @@ from repro.launcher.kernel_input import as_sim_kernel
 from repro.launcher.measurement import (
     CALL_OVERHEAD_NS,
     Measurement,
+    MeasurementRequest,
     MeasurementSeries,
-    run_measurement,
+    run_measurement_batch,
 )
 from repro.launcher.options import LauncherOptions
 from repro.machine.config import MemLevel
@@ -97,7 +98,10 @@ def _measure(**overrides):
         noise=NoiseModel(seed=1),
     )
     defaults.update(overrides)
-    return run_measurement(**defaults)
+    shared = {
+        key: defaults.pop(key) for key in ("options", "freq_ghz", "tsc_ghz", "noise")
+    }
+    return run_measurement_batch([MeasurementRequest(**defaults)], **shared)[0]
 
 
 class TestFig10Algorithm:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.launcher import LauncherOptions, MicroLauncher
+from repro.launcher import (
+    ArrayAllocator,
+    LauncherOptions,
+    MicroLauncher,
+    as_sim_kernel,
+)
 from repro.machine import MemLevel, nehalem_2s_x5650
 
 
@@ -127,6 +132,20 @@ class TestCsvIntegration:
         rows = read_csv(path)
         assert len(rows) == 2
         assert rows[0]["kernel"] == movaps_u8.name
+
+    def test_run_with_bindings_appends_csv(
+        self, launcher, movaps_u8, fast_options, tmp_path
+    ):
+        path = tmp_path / "bound.csv"
+        options = fast_options.with_(csv_path=str(path))
+        sim = as_sim_kernel(movaps_u8, trip_count=options.trip_count)
+        bindings = ArrayAllocator(sim, options).bindings()
+        m = launcher.run_with_bindings(movaps_u8, bindings, options)
+        from repro.launcher.csvout import read_csv
+
+        rows = read_csv(path)
+        assert len(rows) == 1
+        assert rows[0]["kernel"] == m.kernel_name
 
     def test_full_csv_one_row_per_experiment(
         self, launcher, movaps_u8, fast_options, tmp_path

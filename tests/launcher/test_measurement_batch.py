@@ -1,8 +1,8 @@
 """Batched measurement must reproduce the sequential path bit-for-bit.
 
-``run_measurement`` is now a batch of one, and ``run_measurement_batch``
-times a whole configuration family in a single vectorized pass.  The
-contract is bit-identity: ``_reference_run_measurement`` below is the
+``run_measurement_batch`` times a whole configuration family in a single
+vectorized pass; ``_measure_one`` below is a batch of one.  The contract
+is bit-identity: ``_reference_run_measurement`` below is the
 pre-batching implementation, kept verbatim as the oracle.
 """
 
@@ -14,7 +14,6 @@ from repro.launcher.measurement import (
     CALL_OVERHEAD_NS,
     Measurement,
     MeasurementSeries,
-    run_measurement,
     run_measurement_batch,
 )
 from repro.machine.noise import NoiseEnvironment, NoiseModel
@@ -80,6 +79,17 @@ def _reference_run_measurement(
     )
 
 
+def _measure_one(*, options, freq_ghz, tsc_ghz, noise, **request_fields):
+    """A batch of one, called with the oracle's keyword shape."""
+    return run_measurement_batch(
+        [MeasurementRequest(**request_fields)],
+        options=options,
+        freq_ghz=freq_ghz,
+        tsc_ghz=tsc_ghz,
+        noise=noise,
+    )[0]
+
+
 OPTION_VARIANTS = [
     LauncherOptions(),
     LauncherOptions(pin=False),
@@ -112,7 +122,7 @@ class TestRunMeasurementAgainstReference:
     def test_bit_identical_to_pre_batching_path(self, options):
         NoiseModel.clear_stream_cache()
         noise = NoiseModel(seed=2024)
-        got = run_measurement(options=options, noise=noise, **_kwargs())
+        got = _measure_one(options=options, noise=noise, **_kwargs())
         want = _reference_run_measurement(options=options, noise=noise, **_kwargs())
         assert got == want  # dataclass equality: every field, exact floats
 
@@ -121,7 +131,7 @@ class TestRunMeasurementAgainstReference:
         noise = NoiseModel(seed=7)
         options = LauncherOptions(experiments=5)
         ideals = [100.0, 150.0, 200.0, 250.0, 300.0]
-        got = run_measurement(
+        got = _measure_one(
             options=options, noise=noise, **_kwargs(per_experiment_ideal_ns=ideals)
         )
         want = _reference_run_measurement(
@@ -131,7 +141,7 @@ class TestRunMeasurementAgainstReference:
 
     def test_short_per_experiment_ideals_raise(self):
         with pytest.raises(ValueError, match="need"):
-            run_measurement(
+            _measure_one(
                 options=LauncherOptions(experiments=8),
                 noise=NoiseModel(),
                 **_kwargs(per_experiment_ideal_ns=[100.0, 200.0]),
@@ -159,7 +169,7 @@ class TestRunMeasurementBatch:
             requests, options=options, freq_ghz=2.67, tsc_ghz=2.66, noise=noise
         )
         for request, got in zip(requests, batch):
-            want = run_measurement(
+            want = _measure_one(
                 ideal_call_ns=request.ideal_call_ns,
                 kernel_name=request.kernel_name,
                 options=options,
@@ -188,7 +198,7 @@ class TestRunMeasurementBatch:
 
     def test_experiment_tsc_holds_plain_floats(self):
         """Serialization relies on ``float.__repr__``; keep builtins."""
-        m = run_measurement(
+        m = _measure_one(
             options=LauncherOptions(experiments=2), noise=NoiseModel(), **_kwargs()
         )
         assert all(type(t) is float for t in m.experiment_tsc)
@@ -213,7 +223,7 @@ class TestAggregatorValidation:
 
     @pytest.mark.parametrize("aggregator", ("min", "median", "mean"))
     def test_known_aggregators_accepted(self, aggregator):
-        m = run_measurement(
+        m = _measure_one(
             options=LauncherOptions(aggregator=aggregator),
             noise=NoiseModel(),
             **_kwargs(),
@@ -229,7 +239,7 @@ class TestSeriesVectorization:
             experiments = 4 + (k % 3 if ragged else 0)
             options = LauncherOptions(experiments=experiments, aggregator=aggregator)
             series.append(
-                run_measurement(
+                _measure_one(
                     options=options,
                     noise=noise,
                     **_kwargs(ideal=100.0 + 17.0 * ((k * 5) % 12)),
@@ -251,7 +261,7 @@ class TestSeriesVectorization:
         assert series.worst() is max(series, key=lambda m: m.cycles_per_iteration)
 
     def test_best_worst_ties_pick_first(self):
-        m = run_measurement(options=LauncherOptions(), noise=NoiseModel(), **_kwargs())
+        m = _measure_one(options=LauncherOptions(), noise=NoiseModel(), **_kwargs())
         series = MeasurementSeries([m, m])
         assert series.best() is series[0]
         assert series.worst() is series[0]
@@ -264,7 +274,7 @@ class TestSeriesVectorization:
         noise = NoiseModel(seed=8)
         series = MeasurementSeries()
         for k in range(9):
-            m = run_measurement(
+            m = _measure_one(
                 options=LauncherOptions(),
                 noise=noise,
                 **_kwargs(ideal=100.0 + 31.0 * ((k * 7) % 9), metadata={"u": k % 3}),
