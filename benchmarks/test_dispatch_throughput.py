@@ -10,8 +10,8 @@ a few configurations each) that per-campaign pool churn penalizes most:
   re-pays worker spawn and re-warms ``_SIM_MEMO`` (kernel-model
   normalization) from nothing.
 - **fresh** runs the scheduler (``_dispatch`` on the shared
-  :class:`WorkerPool`, packed transport, dynamic chunking) with no pool
-  alive — the first campaign of a process.
+  :class:`WorkerPool`, pickled chunk replies, dynamic chunking) with no
+  pool alive — the first campaign of a process.
 - **warm** repeats the same campaign back-to-back: the pool and its
   worker-side memos persist, so the second campaign pays near-zero
   spawn cost.
@@ -125,7 +125,7 @@ def _run_oracle(campaign, jobs) -> tuple[float, dict]:
             for i in range(0, len(jobs), chunk)
         ]
         for future in cf.as_completed(pending):
-            for job_id, payload, _seconds in future.result():
+            for job_id, payload, _ms in future.result():
                 out[job_id] = payload
     return time.perf_counter() - started, out
 

@@ -25,10 +25,8 @@ This package turns that workflow into a first-class pipeline:
   into :class:`JobFailure` entries instead of killing the run,
 - :mod:`repro.engine.pool` -- the executors: long-lived worker
   processes reused across ``run_campaign`` calls (epoch-tokened
-  kill+rebuild, per-worker pipes) and the in-process executor,
-- :mod:`repro.engine.transport` -- the packed binary result frames the
-  workers answer with (schema-versioned; cycles arrays travel as one
-  contiguous float64 buffer),
+  kill+rebuild, per-worker pipes; each chunk's records come back
+  pickled into one bytes reply) and the in-process executor,
 - :mod:`repro.engine.faults` -- deterministic fault injection
   (:class:`FaultPlan`): make a chosen job raise, hang, return garbage,
   or crash its worker at a chosen attempt, reproducibly,
@@ -70,7 +68,6 @@ from repro.engine.pool import (
     shutdown_worker_pool,
 )
 from repro.engine.runner import CampaignRun, JobFailure, RunStats, run_campaign
-from repro.engine.transport import pack_chunk, unpack_chunk
 from repro.engine.serialize import (
     measurement_from_dict,
     measurement_to_dict,
@@ -114,9 +111,7 @@ __all__ = [
     "open_result_cache",
     "options_digest",
     "options_to_dict",
-    "pack_chunk",
     "run_campaign",
     "shutdown_worker_pool",
     "spec_digest",
-    "unpack_chunk",
 ]

@@ -5,8 +5,9 @@ The scheduler used to spawn a fresh ``ProcessPoolExecutor`` for every
 away every worker-side memo (``_SIM_MEMO`` normalized kernels,
 ``_GEN_MEMO`` spec expansions) it had just warmed.  This module keeps a
 module-level :class:`WorkerPool` alive across consecutive campaigns in a
-process: workers are forked once and answer with packed binary frames
-(see :mod:`repro.engine.transport`).
+process: workers are forked once and answer each chunk with its records
+pickled into one bytes body (decoded by
+:func:`repro.engine.runner.unpack_chunk`).
 
 Each worker owns a private duplex pipe instead of sharing queues.  That
 choice is load-bearing for fault tolerance: a shared queue is one
@@ -27,10 +28,10 @@ stale and dropped instead of being credited to the wrong dispatch.
 
 :class:`InProcessExecutor` is the same dispatch surface with one
 worker that is the caller itself, so ``jobs=1`` runs through the very
-loop that drives the pool.  It answers with decoded records instead of
-packed frames, and obeys the same stale-epoch rule: with a deadline it
-runs each chunk on a daemon thread, and a rebuild abandons that thread
-and drops its late reply.
+loop that drives the pool.  It answers with the records themselves
+instead of a pickled body, and obeys the same stale-epoch rule: with a
+deadline it runs each chunk on a daemon thread, and a rebuild abandons
+that thread and drops its late reply.
 
 The scheduler's failure semantics (deadlines, chunk splitting,
 quarantine, inline degradation) live in ``runner.py``; this module only
@@ -60,17 +61,18 @@ class PoolUnusable(Exception):
 
 
 def _worker_main(conn, epoch: int) -> None:
-    """Worker loop: receive a chunk, run it, answer with one frame.
+    """Worker loop: receive a chunk, run it, answer with one reply.
 
     The chunk runs through :func:`repro.engine.runner.run_chunk`, the
-    same function the in-process executor calls, and its per-job
-    wall-clock travels inside the packed frame.  Failures inside a
+    same function the in-process executor calls, and its records (with
+    per-job wall-clock in ms) travel pickled as the reply body.  The
+    body stays bytes through ``conn.send`` so the parent decodes it in
+    one place, where a bad body fails only its chunk.  Failures inside a
     chunk are formatted worker-side into the same reason strings the
     in-process executor produces, so quarantine reasons are identical
     whichever side caught the exception.
     """
     from repro.engine.runner import _failure_reason, run_chunk
-    from repro.engine.transport import pack_chunk
 
     while True:
         try:
@@ -82,8 +84,11 @@ def _worker_main(conn, epoch: int) -> None:
         task_id, blob = message
         try:
             machine, jobs, faults, attempts = pickle.loads(blob)
-            frame = pack_chunk(run_chunk(machine, jobs, faults, attempts))
-            reply = ("ok", epoch, task_id, frame)
+            body = pickle.dumps(
+                run_chunk(machine, jobs, faults, attempts),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            reply = ("ok", epoch, task_id, body)
         except Exception as exc:  # noqa: BLE001 - relayed as a chunk failure
             reply = ("error", epoch, task_id, _failure_reason(exc))
         try:
@@ -243,7 +248,7 @@ class WorkerPool:
 
         Waits up to ``timeout`` for any busy worker's pipe to become
         readable, then drains every ready pipe.  ``kind`` is ``"ok"``
-        (body: packed frame bytes) or ``"error"`` (body: reason
+        (body: pickled records, bytes) or ``"error"`` (body: reason
         string).  A dead worker's EOF is swallowed here — the scheduler
         discovers the death via :meth:`dead_worker_ids` and blames the
         task from :meth:`task_of`.  Replies stamped with a stale epoch
@@ -297,8 +302,8 @@ class InProcessExecutor:
     abandons the thread and drops its late reply.
 
     Replies are ``("records", epoch, task_id, [(job_id, payload, ms)])``
-    — already decoded, never packed — or ``("error", ...)`` with the
-    same reason strings a pool worker sends.
+    — the records themselves, never pickled — or ``("error", ...)``
+    with the same reason strings a pool worker sends.
     """
 
     workers = 1
@@ -339,12 +344,7 @@ class InProcessExecutor:
         from repro.engine.runner import _failure_reason, run_chunk
 
         try:
-            records = [
-                (job_id, dicts, seconds * 1e3)
-                for job_id, dicts, seconds in run_chunk(
-                    machine, jobs, faults, attempts
-                )
-            ]
+            records = run_chunk(machine, jobs, faults, attempts)
             reply = ("records", epoch, task_id, records)
         except Exception as exc:  # noqa: BLE001 - relayed as a chunk failure
             reply = ("error", epoch, task_id, _failure_reason(exc))

@@ -13,9 +13,9 @@ of :mod:`repro.engine.pool` for ``jobs > 1``, or the in-process executor
 for ``jobs=1`` (and for a pool that proves unusable mid-run).  Both run
 a chunk through :func:`run_chunk`: one launcher per chunk, with a
 per-process memo so option sweeps over one kernel normalize and model
-it once.  Pool workers answer with packed frames
-(:mod:`repro.engine.transport`) and outlive the campaign, so their
-memos stay warm across ``run_campaign`` calls.
+it once.  Pool workers answer with the chunk's records pickled into
+one bytes body, decoded once by :func:`unpack_chunk`, and outlive the
+campaign, so their memos stay warm across ``run_campaign`` calls.
 
 Chunks are sized dynamically: the first chunks of each spec family are
 small, and each next one is sized from an EWMA of observed per-job
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -64,7 +65,6 @@ from repro.engine.pool import (
     get_worker_pool,
     shutdown_worker_pool,
 )
-from repro.engine.transport import TransportError, unpack_chunk
 from repro.engine.serialize import measurement_to_dict, measurements_from_payload
 from repro.engine.store import open_generation_cache, open_result_cache
 from repro.launcher.measurement import Measurement
@@ -176,7 +176,7 @@ def run_chunk(
     faults: FaultPlan | None = None,
     attempts: dict[str, int] | None = None,
 ) -> list[tuple[str, list[dict], float]]:
-    """Run a batch of jobs on one launcher: ``(job_id, payload, seconds)``.
+    """Run a batch of jobs on one launcher: ``(job_id, payload, ms)``.
 
     The one chunk body: pool workers and the in-process executor both
     call it, so where a job runs cannot change what it measures.  Any
@@ -200,7 +200,35 @@ def run_chunk(
             attempt=attempt,
         ):
             dicts = _run_job(launcher, job, faults, attempt)
-        records.append((job.job_id, dicts, time.perf_counter() - started))
+        records.append(
+            (job.job_id, dicts, (time.perf_counter() - started) * 1e3)
+        )
+    return records
+
+
+def unpack_chunk(body: bytes) -> list[tuple[str, object, float]]:
+    """Decode a pool worker's reply body to ``(job_id, payload, ms)``.
+
+    The one decode point for pool replies: the body is the pickled
+    :func:`run_chunk` records, kept as bytes across the pipe so a reply
+    that cannot be decoded fails its chunk here instead of reading as a
+    torn pipe in :meth:`WorkerPool.poll`.  Payloads are not validated
+    (fault-injected debris travels verbatim; validation happens where
+    results are recorded).  Raises :class:`ValueError` on anything that
+    is not a list of ``(str, payload, float)`` triples.
+    """
+    try:
+        records = pickle.loads(body)
+    except Exception as exc:
+        raise ValueError(f"undecodable chunk reply: {exc!r}") from None
+    if not isinstance(records, list) or not all(
+        isinstance(r, tuple)
+        and len(r) == 3
+        and isinstance(r[0], str)
+        and isinstance(r[2], float)
+        for r in records
+    ):
+        raise ValueError("chunk reply is not a list of job records")
     return records
 
 
@@ -240,7 +268,7 @@ def _count_stopping(dicts: list[dict]) -> None:
 
     The measurement core emits ``stopping.*`` in its own process; a pool
     worker's registry dies with the worker, so re-derive the counters
-    from payloads decoded out of pool frames.  In-process chunks never
+    from payloads decoded out of pool replies.  In-process chunks never
     pass through here and keep the measurement core's own emission —
     totals match either way.
     """
@@ -586,16 +614,16 @@ def _dispatch(
             chunk_span(unit, submitted, body)
             fail_unit(unit, body)
             return
-        if kind == "ok":  # a packed frame from a pool worker
+        if kind == "ok":  # a pickled reply body from a pool worker
             try:
                 outputs = unpack_chunk(body)
-            except TransportError as exc:
+            except ValueError as exc:
                 chunk_span(unit, submitted, _failure_reason(exc))
                 fail_unit(unit, _failure_reason(exc))
                 return
             chunk_span(unit, submitted, "ok")
             # Real per-job wall clock, measured worker-side and carried
-            # in the frame.  In-process records were observed by their
+            # in the reply.  In-process records were observed by their
             # own engine.job spans.
             if obs.is_enabled():
                 for _job_id, _dicts, duration_ms in outputs:

@@ -1,6 +1,6 @@
 """Engine serialization: ``Measurement`` <-> dict, options -> dict.
 
-The result cache, the worker-pool transport, and the JSONL output format
+The result cache, the worker-pool replies, and the JSONL output format
 all speak plain JSON-safe dicts.  Floats survive exactly (JSON carries
 the shortest round-trip repr); tuples come back as tuples for the typed
 ``Measurement`` fields and as lists inside free-form metadata.

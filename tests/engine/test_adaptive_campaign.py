@@ -164,7 +164,7 @@ class TestQualityColumns:
 class TestStoppingTelemetry:
     """Each executed adaptive job is counted exactly once as converged or
     capped: in-process by the measurement core itself, on the pool by
-    the scheduler from the decoded worker frames."""
+    the scheduler from the decoded worker replies."""
 
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_converged_plus_capped_is_the_job_count(self, jobs):

@@ -318,6 +318,33 @@ class TestWorkerCrash:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestUndecodableReply:
+    def test_decode_failure_fails_only_its_chunk(
+        self, campaign, clean, monkeypatch, tmp_path
+    ):
+        """A pool reply that will not decode is charged to its chunk,
+        which is re-dispatched; nothing is lost and nothing is
+        quarantined."""
+        _require_pool()
+        decode = runner.unpack_chunk
+        calls = []
+
+        def first_call_fails(body):
+            calls.append(len(body))
+            if len(calls) == 1:
+                raise ValueError("undecodable chunk reply: injected")
+            return decode(body)
+
+        monkeypatch.setattr(runner, "unpack_chunk", first_call_fails)
+        run = run_campaign(campaign, jobs=2, retry_backoff=0.0)
+        assert len(calls) > 1
+        assert not run.failures
+        assert not run.stats.fell_back_inline
+        a = clean.write_csv(tmp_path / "clean.csv")
+        b = run.write_csv(tmp_path / "redecoded.csv")
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestAdaptiveFaults:
     """Faults under adaptive stopping behave exactly like fixed-count:
     the failing job quarantines or retries whole, and a job that died

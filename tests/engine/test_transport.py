@@ -1,20 +1,24 @@
-"""Packed chunk-frame transport: exact round-trips or loud failure.
+"""Pool reply bodies: exact round-trips or loud failure.
 
-The scheduler's byte-identity guarantee rides on this layer: a frame
-must reproduce the worker's measurement dicts *exactly* — values, key
-order, float identity — or refuse to decode at all.
+A pool worker answers a chunk with its ``run_chunk`` records pickled
+into one bytes body, and ``runner.unpack_chunk`` is the one place the
+scheduler decodes it.  The byte-identity guarantee rides on that step:
+it must reproduce the worker's measurement dicts *exactly* — values,
+key order, float identity — or refuse with ``ValueError``, which the
+scheduler charges to the chunk.
 """
 
 import json
+import pickle
 
 import pytest
 
-from repro.engine.transport import (
-    MAGIC,
-    TransportError,
-    pack_chunk,
-    unpack_chunk,
-)
+from repro.engine.runner import unpack_chunk
+
+
+def _body(records):
+    """The body a pool worker sends for ``records``."""
+    return pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _measurementish(tsc, *, tail_key=False):
@@ -38,8 +42,8 @@ class TestRoundTrip:
             _measurementish([1.5, 2.25, 1e-9]),
             _measurementish([0.0, -3.5], tail_key=True),
         ]
-        frame = pack_chunk([("job-a", payload, 0.25)])
-        [(job_id, out, duration_ms)] = unpack_chunk(frame)
+        body = _body([("job-a", payload, 250.0)])
+        [(job_id, out, duration_ms)] = unpack_chunk(body)
         assert job_id == "job-a"
         assert duration_ms == pytest.approx(250.0)
         assert out == payload
@@ -50,10 +54,14 @@ class TestRoundTrip:
 
     def test_multi_job_chunk_keeps_order_and_durations(self):
         records = [
-            (f"job-{i}", [_measurementish([float(i), float(i) + 0.5])], i / 1000)
+            (
+                f"job-{i}",
+                [_measurementish([float(i), float(i) + 0.5])],
+                i / 1000 * 1e3,  # run_chunk durations are already ms
+            )
             for i in range(5)
         ]
-        out = unpack_chunk(pack_chunk(records))
+        out = unpack_chunk(_body(records))
         assert [job_id for job_id, _, _ in out] == [r[0] for r in records]
         assert [d for _, _, d in out] == pytest.approx(
             [i / 1000 * 1e3 for i in range(5)]
@@ -62,7 +70,7 @@ class TestRoundTrip:
 
     def test_garbage_payload_travels_verbatim(self):
         """Fault-injected debris is not a measurement list; it must
-        survive transport unchanged for quarantine to see what the
+        survive the reply unchanged for quarantine to see what the
         scheduler would have seen inline."""
         from repro.engine.faults import GARBAGE_PAYLOAD
 
@@ -74,32 +82,36 @@ class TestRoundTrip:
             "a string",
         ):
             [(job_id, out, _)] = unpack_chunk(
-                pack_chunk([("job-g", payload, 0.0)])
+                _body([("job-g", payload, 0.0)])
             )
             assert out == payload
             assert type(out) is type(payload)
 
     def test_empty_chunk(self):
-        assert unpack_chunk(pack_chunk([])) == []
+        assert unpack_chunk(_body([])) == []
 
 
-class TestMalformedFrames:
-    def test_bad_magic_rejected(self):
-        frame = pack_chunk([("j", [_measurementish([1.0])], 0.0)])
-        with pytest.raises(TransportError, match="magic"):
-            unpack_chunk(b"XXXX" + frame[4:])
+class TestMalformedBodies:
+    def test_truncated_body_rejected(self):
+        body = _body([("j", [_measurementish([1.0])], 0.0)])
+        with pytest.raises(ValueError, match="undecodable"):
+            unpack_chunk(body[: len(body) // 2])
 
-    def test_truncated_header_rejected(self):
-        frame = pack_chunk([("j", [_measurementish([1.0])], 0.0)])
-        with pytest.raises(TransportError):
-            unpack_chunk(frame[: len(MAGIC) + 6])
+    def test_non_pickle_body_rejected(self):
+        with pytest.raises(ValueError, match="undecodable"):
+            unpack_chunk(b"\x00" * 12)
 
-    def test_truncated_float_section_rejected(self):
-        frame = pack_chunk([("j", [_measurementish([1.0, 2.0, 3.0])], 0.0)])
-        with pytest.raises(TransportError, match="float section"):
-            unpack_chunk(frame[:-8])
-
-    def test_undecodable_header_rejected(self):
-        mangled = MAGIC + (12).to_bytes(4, "big") + b"\x00" * 12
-        with pytest.raises(TransportError):
-            unpack_chunk(mangled)
+    @pytest.mark.parametrize(
+        "records",
+        (
+            {"records": []},
+            [("j", [], 0)],  # duration is not a float
+            [(1, [], 0.0)],  # job id is not a string
+            [("j", [])],  # not a triple
+            [["j", [], 0.0]],  # a list, not a tuple
+        ),
+        ids=("dict", "int-duration", "int-job-id", "pair", "list-record"),
+    )
+    def test_non_record_body_rejected(self, records):
+        with pytest.raises(ValueError, match="not a list of job records"):
+            unpack_chunk(_body(records))
