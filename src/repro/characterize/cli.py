@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.engine import PoolUnusable
 from repro.machine import PRESETS, preset
 from repro.machine.serialize import MachineFileError, load_machine, save_overlay
 
@@ -98,7 +99,9 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per probe job",
+        help="wall-clock budget per probe job; a timed run needs worker "
+        "processes, even at --jobs 1, and exits 2 where they cannot be "
+        "spawned",
     )
     parser.add_argument(
         "--progress", action="store_true", help="print campaign progress"
@@ -241,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"run": _cmd_run, "verify": _cmd_verify, "diff": _cmd_diff}[args.command]
     try:
         return handler(args)
-    except (MachineFileError, TableFormatError) as exc:
+    except (MachineFileError, TableFormatError, PoolUnusable) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -30,6 +30,7 @@ from repro.cli.launcher_cli import (
     run_observed,
 )
 from repro.creator import CreatorOptions, MicroCreator
+from repro.engine import PoolUnusable
 from repro.spec import SpecParseError, parse_spec_file
 
 
@@ -164,7 +165,11 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecParseError, OSError) as exc:
         print(f"microcreator: {exc}", file=sys.stderr)
         return 2
-    return run_observed(args, lambda: _observed_main(args, spec))
+    try:
+        return run_observed(args, lambda: _observed_main(args, spec))
+    except PoolUnusable as exc:  # a --job-timeout run without workers
+        print(f"microcreator: {exc}", file=sys.stderr)
+        return 2
 
 
 def _observed_main(args, spec) -> int:

@@ -15,8 +15,10 @@ a run's numbers do not depend on the engine flags: ``--cache-dir``
 caches measurements by content hash and makes the run resumable
 (``--no-resume`` forces re-measurement), and ``--jobs`` only changes
 where the jobs execute.  Failing jobs retry up to ``--max-retries``
-times and hung jobs are bounded by ``--job-timeout``; a job that keeps
-failing is quarantined — the run completes degraded and exits 3.
+times and hung jobs are bounded by ``--job-timeout`` (which runs jobs in
+worker processes, even at ``--jobs 1``, and exits 2 where none can be
+spawned); a job that keeps failing is quarantined — the run completes
+degraded and exits 3.
 ``--csv`` appends every measured row (``--output jsonl`` writes one
 JSON line per row instead).
 
@@ -34,7 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.analysis import available_experiments, run_experiment
-from repro.engine import Campaign, SweepSpec, run_campaign
+from repro.engine import Campaign, PoolUnusable, SweepSpec, run_campaign
 from repro.launcher import LauncherOptions
 from repro.launcher.csvout import write_csv
 from repro.launcher.stopping import adaptive_overrides
@@ -84,7 +86,9 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per job; a chunk past its budget is "
-        "killed and its jobs retried (default: no timeout)",
+        "killed and its jobs retried (default: no timeout). A timed run "
+        "needs worker processes, even at --jobs 1, and exits 2 where "
+        "they cannot be spawned",
     )
 
 
@@ -287,7 +291,11 @@ def _report_failures(prog: str, run) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return run_observed(args, lambda: _observed_main(args))
+    try:
+        return run_observed(args, lambda: _observed_main(args))
+    except PoolUnusable as exc:  # a --job-timeout run without workers
+        print(f"microlauncher: {exc}", file=sys.stderr)
+        return 2
 
 
 def _observed_main(args) -> int:

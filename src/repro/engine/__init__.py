@@ -17,8 +17,8 @@ This package turns that workflow into a first-class pipeline:
   (:class:`KernelRef`): spec-backed jobs ship a reference and workers
   regenerate their slice locally, memoized per process,
 - :mod:`repro.engine.runner` -- one fault-tolerant dispatch loop over
-  the persistent worker pool or, for ``jobs=1``, the in-process
-  executor; per-job derived noise seeds make results bit-identical
+  the persistent worker pool or, for an untimed ``jobs=1`` run, the
+  in-process executor; per-job derived noise seeds make results bit-identical
   regardless of worker count, chunking, or scheduling order; failing
   jobs are retried with backoff, hung chunks time out, crashed workers'
   jobs are re-dispatched, and a persistently bad job is quarantined
@@ -63,6 +63,7 @@ from repro.engine.hashing import (
     spec_digest,
 )
 from repro.engine.pool import (
+    PoolUnusable,
     WorkerPool,
     get_worker_pool,
     shutdown_worker_pool,
@@ -92,6 +93,7 @@ __all__ = [
     "Job",
     "JobFailure",
     "KernelRef",
+    "PoolUnusable",
     "RunStats",
     "ShardedGenerationCache",
     "ShardedResultCache",

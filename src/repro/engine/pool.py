@@ -27,11 +27,12 @@ result buffered in a pipe the scheduler abandoned — is recognizably
 stale and dropped instead of being credited to the wrong dispatch.
 
 :class:`InProcessExecutor` is the same dispatch surface with one
-worker that is the caller itself, so ``jobs=1`` runs through the very
-loop that drives the pool.  It answers with the records themselves
-instead of a pickled body, and obeys the same stale-epoch rule: with a
-deadline it runs each chunk on a daemon thread, and a rebuild abandons
-that thread and drops its late reply.
+worker that is the caller itself, so an untimed ``jobs=1`` run goes
+through the very loop that drives the pool.  It runs each chunk
+synchronously and answers with the records themselves instead of a
+pickled body.  A chunk running on the caller's thread cannot be
+stopped, so a run with a deadline never uses it: timed runs always go
+through worker processes, where a missed deadline kills the worker.
 
 The scheduler's failure semantics (deadlines, chunk splitting,
 quarantine, inline degradation) live in ``runner.py``; this module only
@@ -45,8 +46,6 @@ import atexit
 import multiprocessing
 import multiprocessing.connection
 import pickle
-import queue
-import threading
 import time
 
 from repro import obs
@@ -57,7 +56,11 @@ _SHUTDOWN_GRACE_SECONDS = 2.0
 
 
 class PoolUnusable(Exception):
-    """Workers cannot be spawned here; the caller should run inline."""
+    """Workers cannot be spawned here.
+
+    An untimed run falls back inline; a run with ``job_timeout`` fails
+    with this error, since only a worker process can be stopped.
+    """
 
 
 def _worker_main(conn, epoch: int) -> None:
@@ -294,73 +297,48 @@ class InProcessExecutor:
 
     Offers the dispatch surface the scheduler uses from
     :class:`WorkerPool` (``workers``, ``submit``, ``poll``,
-    ``dead_worker_ids``, ``task_of``, ``rebuild``).  Without a deadline
-    the chunk runs synchronously inside :meth:`submit`, on the caller's
-    thread, so its ``engine.job`` spans nest under the scheduler's.
-    With ``job_timeout`` it runs on a daemon thread instead: a missed
-    deadline makes the scheduler call :meth:`rebuild`, whose epoch bump
-    abandons the thread and drops its late reply.
+    ``dead_worker_ids``).  :meth:`submit` runs the chunk on the caller's
+    thread, so its ``engine.job`` spans nest under the scheduler's, and
+    :meth:`poll` hands its reply back.  Nothing here can stop a chunk
+    mid-run, so the scheduler never pairs this executor with a deadline.
 
-    Replies are ``("records", epoch, task_id, [(job_id, payload, ms)])``
+    Replies are ``("records", 0, task_id, [(job_id, payload, ms)])``
     — the records themselves, never pickled — or ``("error", ...)``
     with the same reason strings a pool worker sends.
     """
 
     workers = 1
 
-    def __init__(self, job_timeout: float | None = None) -> None:
-        self.job_timeout = job_timeout
-        self.epoch = 0
+    def __init__(self) -> None:
         self._next_task_id = 0
-        self._task_id: int | None = None
-        self._replies: queue.SimpleQueue = queue.SimpleQueue()
+        self._reply: tuple[str, int, int, object] | None = None
 
     def dead_worker_ids(self) -> list[int]:
         return []  # the caller's thread cannot die without the scheduler
 
-    def task_of(self, worker_id: int) -> int | None:
-        return self._task_id
-
-    def rebuild(self) -> None:
-        """Abandon the in-flight chunk: its reply will be stale."""
-        self.epoch += 1
-        self._task_id = None
-
     def submit(
         self, machine, jobs, faults, attempts: dict[str, int]
     ) -> int | None:
-        if self._task_id is not None:
-            return None
-        task_id = self._task_id = self._next_task_id
-        self._next_task_id += 1
-        args = (self.epoch, task_id, machine, jobs, faults, attempts)
-        if self.job_timeout is None:
-            self._run(*args)
-        else:
-            threading.Thread(target=self._run, args=args, daemon=True).start()
-        return task_id
-
-    def _run(self, epoch, task_id, machine, jobs, faults, attempts) -> None:
         from repro.engine.runner import _failure_reason, run_chunk
 
+        if self._reply is not None:
+            return None
+        task_id = self._next_task_id
+        self._next_task_id += 1
         try:
             records = run_chunk(machine, jobs, faults, attempts)
-            reply = ("records", epoch, task_id, records)
+            self._reply = ("records", 0, task_id, records)
         except Exception as exc:  # noqa: BLE001 - relayed as a chunk failure
-            reply = ("error", epoch, task_id, _failure_reason(exc))
-        self._replies.put(reply)
+            self._reply = ("error", 0, task_id, _failure_reason(exc))
+        return task_id
 
     def poll(self, timeout: float) -> list[tuple[str, int, int, object]]:
         """The finished chunk, if any: ``(kind, 0, task_id, body)``."""
-        try:
-            kind, epoch, task_id, body = self._replies.get(timeout=timeout)
-        except queue.Empty:
+        reply, self._reply = self._reply, None
+        if reply is None:  # nothing submitted: every unit is backing off
+            time.sleep(timeout)
             return []
-        if epoch != self.epoch:
-            obs.count("engine.pool.stale_dropped")
-            return []
-        self._task_id = None
-        return [(kind, 0, task_id, body)]
+        return [reply]
 
 
 #: The process-wide pool, shared by consecutive campaigns.

@@ -9,9 +9,10 @@ completion order cannot change a single output byte.
 
 There is one scheduler, :func:`_dispatch`, and it drives one of two
 executors with the same submit/poll surface: the persistent worker pool
-of :mod:`repro.engine.pool` for ``jobs > 1``, or the in-process executor
-for ``jobs=1`` (and for a pool that proves unusable mid-run).  Both run
-a chunk through :func:`run_chunk`: one launcher per chunk, with a
+of :mod:`repro.engine.pool` for ``jobs > 1`` or a ``job_timeout`` (only
+a process can be stopped), or the in-process executor for an untimed
+``jobs=1`` run (and for an untimed run whose pool proves unusable).
+Both run a chunk through :func:`run_chunk`: one launcher per chunk, with a
 per-process memo so option sweeps over one kernel normalize and model
 it once.  Pool workers answer with the chunk's records pickled into
 one bytes body, decoded once by :func:`unpack_chunk`, and outlive the
@@ -26,7 +27,7 @@ chunk.
 
 The scheduler is fault-tolerant: a raising job is retried with
 exponential backoff up to ``max_retries`` times, a chunk that exceeds
-its deadline (``job_timeout`` seconds per job) has its executor rebuilt,
+its deadline (``job_timeout`` seconds per job) has its worker killed,
 a crashed worker's chunks are re-dispatched — split in half to isolate
 the poisoned job — and a job that keeps failing is *quarantined*: the
 campaign completes with N-1 rows and an explicit
@@ -481,6 +482,7 @@ def _dispatch(
     pending: list[Job],
     *,
     stats: RunStats,
+    pooled: bool,
     faults: FaultPlan | None,
     attempts: dict[str, int],
     max_retries: int,
@@ -493,10 +495,11 @@ def _dispatch(
     """Run every pending job to a recorded result or a quarantine.
 
     The one dispatch loop.  It drives the persistent worker pool when
-    ``stats.workers > 1`` and the in-process executor otherwise; a pool
-    that proves unusable is swapped for the in-process executor without
-    leaving the loop, so the work queue, the planner and every job's
-    attempt count carry over.  Recovery rules:
+    ``pooled`` and the in-process executor otherwise; a pool that proves
+    unusable is swapped for the in-process executor without leaving the
+    loop, so the work queue, the planner and every job's attempt count
+    carry over — except in a timed run, which raises
+    :class:`PoolUnusable` instead.  Recovery rules:
 
     - a chunk that raised is *split in half* and re-dispatched,
       isolating the poisoned job in O(log chunk) rounds without charging
@@ -508,8 +511,8 @@ def _dispatch(
       re-dispatched without being charged an attempt, and any straggler
       message from the old generation is dropped by its stale epoch;
     - with ``job_timeout``, a chunk gets ``job_timeout * len(chunk)``
-      seconds from dispatch; past that its executor (which still holds
-      the hung chunk) is rebuilt the same way.
+      seconds from dispatch; past that the pool, whose worker still
+      holds the hung chunk, is rebuilt the same way.
     """
     #: Retry/split re-dispatches; fresh chunks are carved on demand so
     #: chunk sizing uses the newest duration estimates.
@@ -567,13 +570,18 @@ def _dispatch(
                 return unit
         return planner.carve()
 
-    def run_inline() -> InProcessExecutor:
+    def run_inline(exc: PoolUnusable) -> InProcessExecutor:
         requeue_innocents()
         shutdown_worker_pool()
+        if job_timeout is not None:
+            raise PoolUnusable(
+                "job_timeout needs worker processes to stop a hung job, "
+                f"and the worker pool is unusable here ({exc})"
+            ) from exc
         stats.fell_back_inline = True
         dispatch_span.set(mode="inline")
         say(f"{campaign.name}: worker pool unavailable, running inline")
-        return InProcessExecutor(job_timeout)
+        return InProcessExecutor()
 
     def submit_ready() -> None:
         """Hand ready units to the executor until every worker is busy."""
@@ -678,23 +686,22 @@ def _dispatch(
                 unit, _deadline, submitted = in_flight.pop(task_id)
                 chunk_span(unit, submitted, "timeout")
                 fail_unit(unit, "timeout")
-            # The hung chunk still owns its executor slot; rebuild and
-            # re-dispatch the innocent chunks.
+            # The hung chunk still owns its worker; kill it by rebuilding
+            # the pool and re-dispatch the innocent chunks.
             requeue_innocents()
             executor.rebuild()
             say(
                 f"{campaign.name}: chunk exceeded its {job_timeout:.3g}s/job "
-                "budget; rebuilding its executor"
+                "budget; rebuilding the pool"
             )
 
-    pooled = stats.workers > 1
     with obs.span(
         "engine.dispatch",
         mode="pool" if pooled else "inline",
         jobs=len(pending),
         workers=stats.workers,
     ) as dispatch_span:
-        executor: WorkerPool | InProcessExecutor = InProcessExecutor(job_timeout)
+        executor: WorkerPool | InProcessExecutor = InProcessExecutor()
         if pooled:
             try:
                 executor = get_worker_pool(stats.workers)
@@ -702,8 +709,8 @@ def _dispatch(
                     f"{campaign.name}: dispatching {len(pending)} jobs to "
                     f"{stats.workers} persistent workers"
                 )
-            except PoolUnusable:
-                executor = run_inline()
+            except PoolUnusable as exc:
+                executor = run_inline(exc)
         while work or in_flight or not planner.exhausted():
             try:
                 submit_ready()
@@ -712,8 +719,8 @@ def _dispatch(
                 for kind, _worker_id, task_id, body in executor.poll(_POLL_SECONDS):
                     collect(kind, task_id, body)
                 reap()
-            except PoolUnusable:
-                executor = run_inline()
+            except PoolUnusable as exc:
+                executor = run_inline(exc)
 
 
 def run_campaign(
@@ -734,12 +741,12 @@ def run_campaign(
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` runs every job in this process through
-        the in-process executor.  With ``jobs > 1`` spec-derived kernels
-        ship as :class:`KernelRef` descriptions and are regenerated in
-        the measuring process.  If the pool cannot start (restricted
-        environments), the same dispatch loop continues in-process —
-        results are identical either way.  Chunks start at a few jobs
+        Worker processes; ``1`` without ``job_timeout`` runs every job in
+        this process.  A pool run ships spec-derived kernels as
+        :class:`KernelRef` descriptions, regenerated in the measuring
+        process.  If the pool cannot start (restricted environments), an
+        untimed run continues in-process through the same dispatch loop
+        — results are identical either way.  Chunks start at a few jobs
         and are then sized to ``CHUNK_TARGET_MS`` of observed work.
     cache_dir:
         Reuse measurements across runs: jobs whose ID is already stored
@@ -755,9 +762,10 @@ def run_campaign(
         quarantined (so every job gets ``max_retries + 1`` tries).
     job_timeout:
         Wall-clock seconds one job may take: a chunk gets
-        ``job_timeout * len(chunk)`` from dispatch.  In-process chunks
-        then run on a daemon thread that a missed deadline abandons.
-        ``None`` disables the deadline.
+        ``job_timeout * len(chunk)`` from dispatch, then its worker is
+        killed.  A timed run therefore uses worker processes even at
+        ``jobs=1``, and raises :class:`~repro.engine.pool.PoolUnusable`
+        where they cannot be spawned.  ``None`` disables the deadline.
     retry_backoff:
         Base delay before re-dispatching a failed job; doubles per
         failed attempt.
@@ -780,11 +788,13 @@ def run_campaign(
         open_generation_cache(gen_cache_dir) if gen_cache_dir is not None else None
     )
 
+    # The one executor decision: only a process can be stopped.
+    pooled = jobs > 1 or job_timeout is not None
     with obs.span(
         "engine.campaign", campaign=campaign.name, workers=max(1, jobs)
     ) as campaign_span:
         with obs.span("engine.expand"):
-            job_list = campaign.job_list(gen_cache=gen_cache, defer=jobs > 1)
+            job_list = campaign.job_list(gen_cache=gen_cache, defer=pooled)
         campaign_span.set(jobs=len(job_list))
         say = progress or (lambda message: None)
         stats = RunStats(total_jobs=len(job_list), workers=max(1, jobs))
@@ -879,6 +889,7 @@ def run_campaign(
                 campaign,
                 pending,
                 stats=stats,
+                pooled=pooled,
                 faults=faults,
                 attempts=attempts,
                 max_retries=max_retries,

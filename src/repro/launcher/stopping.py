@@ -28,7 +28,7 @@ Determinism is structural, not incidental:
   composition, chunking, worker count, and resume position.
 
 Both properties are pinned by ``tests/launcher/test_stopping.py`` and
-``tests/engine/test_adaptive_campaign.py``.
+``tests/engine/test_equivalence.py``.
 """
 
 from __future__ import annotations

@@ -163,17 +163,25 @@ class TestQualityColumns:
 
 class TestStoppingTelemetry:
     """Each executed adaptive job is counted exactly once as converged or
-    capped: in-process by the measurement core itself, on the pool by
-    the scheduler from the decoded worker replies."""
+    capped: in-process by the measurement core itself, on the pool (a
+    timed ``jobs=1`` run included) by the scheduler from the decoded
+    worker replies."""
 
-    @pytest.mark.parametrize("jobs", (1, 2))
-    def test_converged_plus_capped_is_the_job_count(self, jobs):
+    @pytest.mark.parametrize(
+        "jobs,job_timeout",
+        [
+            pytest.param(1, None, id="inline"),
+            pytest.param(2, None, id="pool"),
+            pytest.param(1, 60.0, id="timed"),
+        ],
+    )
+    def test_converged_plus_capped_is_the_job_count(self, jobs, job_timeout):
         from repro import obs
 
         obs.disable()
         obs.enable()
         try:
-            run = run_campaign(_campaign(), jobs=jobs)
+            run = run_campaign(_campaign(), jobs=jobs, job_timeout=job_timeout)
             counters = obs.metrics_snapshot()["counters"]
             histograms = obs.metrics_snapshot()["histograms"]
         finally:

@@ -41,12 +41,6 @@ class TestResolveChunkSize:
     ``CHUNK_TARGET_MS`` divided by the observed per-job cost, clipped to
     [1, ``_DYNAMIC_MAX_CHUNK``] and to the jobs left."""
 
-    def test_explicit_size_wins(self, sweep_campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 20.0)
-        planner = _ChunkPlanner(sweep_campaign.job_list())
-        planner.observe(None, [2.0])
-        assert len(planner.carve().jobs) == 10  # 20 ms / 2 ms per job
-
     def test_auto_targets_a_few_chunks_per_worker(self, sweep_campaign):
         n_jobs = len(sweep_campaign.job_list())
         run = run_campaign(sweep_campaign, jobs=2)
@@ -65,32 +59,6 @@ class TestResolveChunkSize:
         planner = _ChunkPlanner(many)
         planner.observe(None, [0.001])
         assert len(planner.carve().jobs) == _DYNAMIC_MAX_CHUNK
-
-    def test_more_workers_than_jobs(self, sweep_campaign, tmp_path):
-        small = Campaign(
-            name="small",
-            machine=sweep_campaign.machine,
-            sweeps=(
-                SweepSpec(
-                    kernels=sweep_campaign.sweeps[0].kernels[:3],
-                    base=sweep_campaign.sweeps[0].base.with_(trip_count=256),
-                ),
-            ),
-        )
-        serial = run_campaign(small, jobs=1)
-        wide = run_campaign(small, jobs=4)
-        assert wide.stats.chunks == 1  # the seed chunk holds all three jobs
-        assert wide.measurements() == serial.measurements()
-
-    def test_explicit_size_may_exceed_job_count(self, sweep_campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
-        jobs = sweep_campaign.job_list()
-        planner = _ChunkPlanner(jobs)
-        first = planner.carve()
-        planner.observe(None, [1.0] * len(first.jobs))
-        rest = planner.carve()
-        assert first.jobs + rest.jobs == jobs  # one chunk takes what is left
-        assert planner.exhausted()
 
 
 class TestChunkExecution:
@@ -123,28 +91,6 @@ class TestChunkedCampaignDeterminism:
         aj = serial.write_jsonl(tmp_path / "serial.jsonl")
         bj = chunked.write_jsonl(tmp_path / f"chunk_{tag}.jsonl")
         assert aj.read_bytes() == bj.read_bytes()
-
-    def test_stats_record_chunk_size(self, sweep_campaign, monkeypatch):
-        """``RunStats.chunks`` counts the chunks actually dispatched, so
-        it tracks chunk size: tiny targets mean single-job chunks."""
-        n_jobs = len(sweep_campaign.job_list())
-        default_target = runner.CHUNK_TARGET_MS
-        for jobs in (1, 2):
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
-            tiny = run_campaign(sweep_campaign, jobs=jobs)
-            # Only each worker's first (seed) chunk batches several jobs.
-            assert tiny.stats.chunks >= n_jobs - 3 * jobs
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", default_target)
-            default = run_campaign(sweep_campaign, jobs=jobs)
-            assert 1 <= default.stats.chunks < tiny.stats.chunks
-            assert f"chunks={default.stats.chunks}" in repr(default.stats)
-
-    def test_invalid_chunk_size_rejected(self, sweep_campaign):
-        # Chunk sizing has no caller-facing knobs left.
-        with pytest.raises(TypeError):
-            run_campaign(sweep_campaign, jobs=2, chunk_target_ms=1.0)
-        with pytest.raises(TypeError):
-            run_campaign(sweep_campaign, jobs=2, chunk_size=3)
 
     def test_chunked_run_fills_cache_like_serial(
         self, sweep_campaign, tmp_path, monkeypatch

@@ -1,18 +1,26 @@
 """One dispatch loop, three executors: faults land identically.
 
-Inline runs, a two-worker pool and a pool that cannot fork (whose run
-falls back to the in-process executor inside the same loop) all go
-through the same retry, split, quarantine and deadline logic.  So for
-every fault kind the quarantine list (job, reason, attempts), the retry
-count and the surviving CSV bytes must be identical whichever executor
-ran the jobs.
+Inline runs (a timed one on a one-worker pool), a two-worker pool and
+a pool that cannot fork (whose untimed run falls back to the in-process
+executor inside the same loop) all go through the same retry, split,
+quarantine and deadline logic.  So for every fault kind the quarantine
+list (job, reason, attempts), the retry count and the surviving CSV
+bytes must be identical whichever executor ran the jobs.  A timed run
+that cannot fork does not run at all: only a process can be stopped.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign, runner
+from repro.engine import (
+    Campaign,
+    FaultPlan,
+    PoolUnusable,
+    SweepSpec,
+    run_campaign,
+    runner,
+)
 from repro.engine.pool import WorkerPool, shutdown_worker_pool
 from repro.launcher import LauncherOptions
 
@@ -74,16 +82,22 @@ def _run(campaign, executor, monkeypatch, **kwargs):
 def test_executors_agree_under_faults(campaign, victim, fault, monkeypatch, tmp_path):
     plan_kwargs, run_kwargs = FAULTS[fault]
     faults = FaultPlan.for_job(victim.job_id, **plan_kwargs)
+    if fault == "hang":
+        # Single-job chunks: a timed-out chunk is not split and re-timed.
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
     outcomes = {}
     for executor in EXECUTORS:
+        if executor == "no-fork" and "job_timeout" in run_kwargs:
+            with pytest.raises(PoolUnusable, match="job_timeout"):
+                _run(campaign, executor, monkeypatch, faults=faults, **run_kwargs)
+            continue
         run = _run(campaign, executor, monkeypatch, faults=faults, **run_kwargs)
         outcomes[executor] = (
             [(f.job_id, f.reason, f.attempts) for f in run.failures],
             run.stats.retries,
             run.write_csv(tmp_path / f"{executor}.csv").read_bytes(),
         )
-    assert outcomes["pool"] == outcomes["inline"]
-    assert outcomes["no-fork"] == outcomes["inline"]
+    assert all(outcome == outcomes["inline"] for outcome in outcomes.values())
     failures, retries, _csv = outcomes["inline"]
     assert retries == 1
     if fault == "transient":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import json
+import threading
 
 import pytest
 
@@ -220,8 +221,17 @@ class TestGarbage:
 
 
 class TestTimeouts:
-    def test_hung_job_times_out_inline(self, campaign, clean, victim, tmp_path):
+    def test_hung_job_times_out_inline(
+        self, campaign, clean, victim, tmp_path, monkeypatch
+    ):
+        """A timed jobs=1 run stops the hung job by killing its one
+        worker process: no thread outlives the run."""
+        _require_pool()
+        # Single-job chunks: the hung job's chunk is not split and timed
+        # out again at every level.
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
         faults = FaultPlan.for_job(victim.job_id, "hang", hang_seconds=5.0)
+        threads = threading.enumerate()
         run = run_campaign(
             campaign,
             faults=faults,
@@ -229,6 +239,7 @@ class TestTimeouts:
             max_retries=0,
             retry_backoff=0.0,
         )
+        assert threading.enumerate() == threads
         assert [f.job_id for f in run.failures] == [victim.job_id]
         assert run.failures[0].reason == "timeout"
         expected = _without(clean, victim.job_id)
@@ -237,6 +248,7 @@ class TestTimeouts:
         assert a.read_bytes() == b.read_bytes()
 
     def test_slow_start_recovers_within_budget(self, campaign, victim):
+        _require_pool()  # a timed run stops hung jobs in a worker process
         # Hangs shorter than the budget are not failures at all.
         faults = FaultPlan.for_job(victim.job_id, "hang", hang_seconds=0.05)
         run = run_campaign(campaign, faults=faults, job_timeout=30.0)
@@ -406,8 +418,13 @@ class TestAdaptiveFaults:
         assert a.read_bytes() == b.read_bytes()
 
     def test_hung_adaptive_job_times_out(
-        self, adaptive_campaign, adaptive_clean, adaptive_victim, tmp_path
+        self, adaptive_campaign, adaptive_clean, adaptive_victim, tmp_path,
+        monkeypatch,
     ):
+        # Single-job chunks: the hung job's chunk is not split and timed
+        # out again at every level.
+        _require_pool()
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
         faults = FaultPlan.for_job(
             adaptive_victim.job_id, "hang", hang_seconds=5.0
         )

@@ -1,17 +1,13 @@
-"""Equivalence of generation modes: parent-side vs deferred, cold vs warm.
+"""Deferred generation: which jobs ship as KernelRef descriptions.
 
 Inline runs render kernels parent-side; pool runs ship KernelRef jobs
-and regenerate them where they are measured — in a worker, or in this
-process when the pool cannot fork and the run falls back to the
-in-process executor.  The deferral machinery (KernelRef jobs,
-regeneration, the persistent generation cache) is a pure transport
-optimization: every mode x {no cache, cold cache, warm cache} must
-produce byte-identical result files.  These tests pin that contract.
+and regenerate them where they are measured.  That this cannot change a
+byte, cold or warm generation cache alike, is a column of the
+equivalence matrix (``test_equivalence.py``); these tests pin which jobs
+are deferred, and that a warm generation cache round-trips results.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro import obs
 from repro.engine import (
@@ -21,7 +17,6 @@ from repro.engine import (
     open_generation_cache,
     run_campaign,
 )
-from repro.engine.pool import WorkerPool, shutdown_worker_pool
 from repro.kernels import loadstore_family
 from repro.kernels.reduction import dot_product_spec
 from repro.launcher import LauncherOptions
@@ -50,31 +45,7 @@ def _result_bytes(tmp_path, tag, **kwargs):
     return _run_bytes(run_campaign(_campaign(), **kwargs), tmp_path, tag)
 
 
-def _no_forks(self, worker_id):
-    raise OSError("no forks here")
-
-
 class TestByteIdentical:
-    def test_all_modes_agree(self, tmp_path, monkeypatch):
-        reference = _result_bytes(tmp_path, "ref", jobs=1)
-        for mode in ("inline", "pool", "no-fork"):
-            gen_dir = tmp_path / f"gencache-{mode}"
-            with monkeypatch.context() as patch:
-                if mode == "no-fork":
-                    shutdown_worker_pool()  # a live pool would be reused
-                    patch.setattr(WorkerPool, "_spawn_member", _no_forks)
-                for cache in ("none", "cold", "warm"):
-                    tag = f"{mode}-{cache}"
-                    run = run_campaign(
-                        _campaign(),
-                        jobs=1 if mode == "inline" else 2,
-                        gen_cache_dir=None if cache == "none" else gen_dir,
-                    )
-                    deferred = isinstance(run.jobs[0].kernel, KernelRef)
-                    assert deferred == (mode != "inline"), tag
-                    assert run.stats.fell_back_inline == (mode == "no-fork"), tag
-                    assert _run_bytes(run, tmp_path, tag) == reference, tag
-
     def test_warm_cache_round_trips_results(self, tmp_path):
         gen_dir = tmp_path / "gencache"
         cold = _result_bytes(tmp_path, "cold", jobs=1, gen_cache_dir=gen_dir)
@@ -138,8 +109,3 @@ class TestDeferredJobs:
             assert {m.kernel_name for m in run.measurements()} == {
                 j.kernel.name for j in deferred
             }
-
-    def test_generation_mode_validated(self):
-        """Generation follows ``jobs``; there is no mode to select."""
-        with pytest.raises(TypeError):
-            run_campaign(_campaign(), generation="parent")

@@ -1,12 +1,13 @@
 """The persistent worker pool cannot change a byte or lose a fault.
 
 Workers now outlive ``run_campaign``: the second campaign in a process
-reuses the first one's pool.  These tests pin the three contracts that
-makes safe: (1) a reused pool produces byte-identical output to a fresh
-one, also warm from a migrated legacy store; (2) every fault-injection
-behaviour (crash, hang, garbage, kill/resume) holds when the workers
-are warm; (3) the epoch token keeps messages from a killed generation
-out of the current one.
+reuses the first one's pool.  These tests pin the contracts that make
+that safe: (1) the dynamic planner sizes chunks from observed cost;
+(2) a reused pool produces byte-identical output to a fresh one, also
+warm from a migrated legacy store; (3) every fault-injection behaviour
+(crash, hang, garbage, kill/resume) holds when the workers are warm;
+(4) the epoch token keeps messages from a killed generation out of the
+current one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pytest
 from repro import obs
 from repro.engine import Campaign, FaultPlan, SweepSpec, run_campaign, runner
 from repro.engine.pool import (
-    InProcessExecutor,
     WorkerPool,
     _Worker,
     get_worker_pool,
@@ -77,10 +77,6 @@ class TestChunkPolicyResolution:
         # 16 cheap jobs need fewer chunks than fixed seed-size slicing.
         assert 2 <= run.stats.chunks < len(campaign.job_list()) // _SEED_CHUNK_SIZE
 
-    def test_unknown_policy_rejected(self, campaign):
-        with pytest.raises(TypeError):
-            run_campaign(campaign, jobs=1, chunk_policy="static")
-
     def test_run_records_policy(self, campaign, monkeypatch):
         """Inline runs chunk too, and both executors record their chunks."""
         monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
@@ -90,6 +86,10 @@ class TestChunkPolicyResolution:
 
 
 class TestDynamicPlanner:
+    """A chunk's size is resolved by the planner: seed chunks first, then
+    ``CHUNK_TARGET_MS`` divided by the observed per-job cost, clipped to
+    [1, ``_DYNAMIC_MAX_CHUNK``] and to the jobs left."""
+
     def test_seeds_small_then_tracks_target(self, campaign, monkeypatch):
         monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 100.0)
         jobs = campaign.job_list()
@@ -100,6 +100,12 @@ class TestDynamicPlanner:
         planner.observe(_gen_group(jobs[0]), [2.0] * len(first.jobs))
         grown = planner.carve()
         assert len(grown.jobs) == min(50, len(jobs) - _SEED_CHUNK_SIZE)
+
+    def test_chunk_is_target_over_per_job_cost(self, campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 20.0)
+        planner = _ChunkPlanner(campaign.job_list())
+        planner.observe(None, [2.0])
+        assert len(planner.carve().jobs) == 10  # 20 ms / 2 ms per job
 
     def test_slow_jobs_shrink_chunks_to_one(self, campaign, monkeypatch):
         monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 100.0)
@@ -114,6 +120,16 @@ class TestDynamicPlanner:
         planner = _ChunkPlanner(jobs)
         planner.observe(_gen_group(jobs[0]), [0.001])
         assert len(planner.carve().jobs) <= _DYNAMIC_MAX_CHUNK
+
+    def test_last_chunk_takes_what_is_left(self, campaign, monkeypatch):
+        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
+        jobs = campaign.job_list()
+        planner = _ChunkPlanner(jobs)
+        first = planner.carve()
+        planner.observe(None, [1.0] * len(first.jobs))
+        rest = planner.carve()
+        assert first.jobs + rest.jobs == jobs  # one chunk takes what is left
+        assert planner.exhausted()
 
     def test_planner_drains_every_job_once(self, campaign):
         jobs = campaign.job_list()
@@ -146,6 +162,22 @@ class TestDynamicPlanner:
         while not planner.exhausted():
             unit = planner.carve()
             assert len({_gen_group(j) for j in unit.jobs}) == 1
+
+    def test_more_workers_than_jobs(self, campaign):
+        small = Campaign(
+            name="small",
+            machine=campaign.machine,
+            sweeps=(
+                SweepSpec(
+                    kernels=campaign.sweeps[0].kernels[:3],
+                    base=campaign.sweeps[0].base.with_(trip_count=256),
+                ),
+            ),
+        )
+        serial = run_campaign(small, jobs=1)
+        wide = run_campaign(small, jobs=4)
+        assert wide.stats.chunks == 1  # the seed chunk holds all three jobs
+        assert wide.measurements() == serial.measurements()
 
 
 class TestPoolReuse:
@@ -341,23 +373,3 @@ class TestEpochStaleness:
         child_conn.send("not-a-tuple")
         assert pool.poll(1.0) == []
         assert pool.task_of(0) == 1
-
-    def test_in_process_executor_drops_an_abandoned_chunk(self, campaign):
-        """A rebuild abandons the deadline thread; its late reply is stale."""
-        hung, fast = campaign.job_list()[:2]
-        faults = FaultPlan.for_job(hung.job_id, "hang", hang_seconds=0.3)
-        executor = InProcessExecutor(job_timeout=1.0)
-        obs.enable()
-        try:
-            abandoned = executor.submit(campaign.machine, [hung], faults, {})
-            executor.rebuild()
-            current = executor.submit(campaign.machine, [fast], faults, {})
-            assert current != abandoned
-            (reply,) = executor.poll(5.0)
-            assert reply[:3] == ("records", 0, current)
-            assert executor.task_of(0) is None
-            assert executor.poll(5.0) == []  # the hung chunk's late reply
-            counters = obs.metrics_snapshot()["counters"]
-            assert counters["engine.pool.stale_dropped"] == 1
-        finally:
-            obs.disable()

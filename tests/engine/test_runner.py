@@ -113,6 +113,21 @@ class TestRunResults:
 
         assert RunStats().cache_hit_rate == 0.0
 
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"chunk_target_ms": 1.0},
+            {"chunk_size": 3},
+            {"chunk_policy": "static"},
+            {"generation": "parent"},
+        ],
+        ids=lambda removed: next(iter(removed)),
+    )
+    def test_removed_keywords_are_rejected(self, grid_campaign, removed):
+        """Chunk sizing and generation follow ``jobs``; no knob is left."""
+        with pytest.raises(TypeError):
+            run_campaign(grid_campaign, jobs=2, **removed)
+
 
 class TestModeExecution:
     def test_forked_and_openmp_jobs(self, nehalem, movaps_u8):

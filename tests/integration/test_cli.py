@@ -144,6 +144,37 @@ class TestLauncherCli:
         assert launcher_main(["/no/such/kernel.s"]) == 2
 
 
+class TestTimedRunWithoutWorkers:
+    def test_job_timeout_exits_2_when_workers_cannot_fork(
+        self, spec_file, tmp_path, capsys, monkeypatch
+    ):
+        """A timed run cannot fall back inline: both CLIs say why, once."""
+        from repro.characterize.cli import main as characterize_main
+        from repro.engine.pool import WorkerPool, shutdown_worker_pool
+
+        creator_main([spec_file, "-o", str(tmp_path)])
+        kernel = str(sorted(tmp_path.glob("*.s"))[0])
+
+        def no_forks(self, worker_id):
+            raise OSError("no forks here")
+
+        shutdown_worker_pool()  # a live pool would be reused
+        monkeypatch.setattr(WorkerPool, "_spawn_member", no_forks)
+        capsys.readouterr()
+        runs = (
+            ("microlauncher", launcher_main, [kernel]),
+            (
+                "repro.characterize",
+                characterize_main,
+                ["run", "--opcodes", "add", "--table", str(tmp_path / "t.json")],
+            ),
+        )
+        for prog, main, argv in runs:
+            assert main([*argv, "--job-timeout", "5"]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"{prog}: job_timeout needs worker processes")
+
+
 class TestEnergyFlag:
     @pytest.fixture()
     def kernel_file(self, spec_file, tmp_path):
