@@ -68,10 +68,6 @@ class TemplateInstr:
             repeat=spec.repeat,
         )
 
-    @property
-    def is_concrete(self) -> bool:
-        return self.opcode is not None
-
     def swapped(self) -> "TemplateInstr":
         """Operands reversed — turns a load template into a store and back."""
         if len(self.operands) != 2:
@@ -87,16 +83,9 @@ class TemplateInstr:
     def with_operands(self, operands: tuple[TemplateOperand, ...]) -> "TemplateInstr":
         return replace(self, operands=operands)
 
-    def with_unroll_index(self, k: int) -> "TemplateInstr":
-        return replace(self, unroll_index=k)
-
     def describes_store(self) -> bool:
         """Template-level store classification: memory in destination slot."""
         return bool(self.operands) and isinstance(self.operands[-1], MemoryRef)
-
-    def describes_load(self) -> bool:
-        """Template-level load classification: memory in a source slot."""
-        return any(isinstance(op, MemoryRef) for op in self.operands[:-1])
 
 
 @dataclass(frozen=True, slots=True)

@@ -36,17 +36,16 @@ def record_check(record: dict) -> str:
 def check_passes(record: dict) -> bool:
     """Checksum validation shared by every record shape.
 
-    Records written before checksums existed carry no ``check`` field and
-    are accepted as-is; anything else must digest to its stored value.
+    The store writes ``check`` on every put, so a record without one is
+    damage and fails; anything else must digest to its stored value.
     """
-    check = record.get("check")
-    return check is None or check == record_check(record)
+    return record.get("check") == record_check(record)
 
 
 #: Exactly the keys :meth:`~repro.engine.store.ShardedResultCache.put`
 #: writes.  Closed-world: damage that mangles the ``check`` key itself
-#: yields a parseable record with an unknown key and *no* checksum —
-#: indistinguishable from a legacy record by ``check_passes`` alone.
+#: yields a parseable record with an unknown key, which a legacy file
+#: (where a missing checksum is allowed) could not otherwise reject.
 _RESULT_RECORD_KEYS = frozenset(
     {"job_id", "kernel", "mode", "measurements", "check"}
 )
@@ -56,8 +55,8 @@ def valid_result_record(record: object) -> bool:
     """Structural + integrity validation of one result-cache record.
 
     The record shape is the storage contract, not a property of any one
-    file layout: the store and the legacy loader accept exactly the same
-    records.
+    file layout: the store and the legacy loader validate with this same
+    predicate.
     """
     if not isinstance(record, dict):
         return False
@@ -80,7 +79,10 @@ def load_legacy_jsonl(
     Loading never raises on damage: blank lines are skipped, and torn,
     unparseable, non-UTF-8 or checksum-failing lines are dropped.  When a
     key appears twice the later line wins, which is what a forced
-    re-measure wrote.
+    re-measure wrote.  Lines written before checksums existed carry no
+    ``check``; they are stamped with one before validation, so only
+    their structure is checked (the store re-checksums every record it
+    migrates).
     """
     records: dict[str, dict] = {}
     # errors="replace": damage can leave bytes that are not UTF-8; the
@@ -95,6 +97,8 @@ def load_legacy_jsonl(
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue
+            if isinstance(record, dict) and "check" not in record:
+                record["check"] = record_check(record)
             if valid_record(record):
                 records[record[key_field]] = record
     return records

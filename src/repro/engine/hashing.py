@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from pathlib import Path
 
 from repro.isa.instructions import AsmProgram
@@ -38,11 +37,6 @@ def spec_digest(spec: KernelSpec) -> str:
     return _sha(write_kernel_spec(spec))
 
 
-#: Fallback digest memo for kernel objects that are weak-referenceable
-#: but cannot grow attributes (no ``_digest_memo`` slot, no ``__dict__``).
-_DIGEST_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def kernel_digest(kernel: object) -> str:
     """Digest of a measurable kernel (its emitted program text).
 
@@ -52,10 +46,10 @@ def kernel_digest(kernel: object) -> str:
     with identical emitted text hash identically — exactly the dedup rule
     the code-generation pass already applies.
 
-    The digest is memoized on the kernel *object* (a ``_digest_memo``
-    attribute when the object allows it, a weak-keyed side table
-    otherwise), so a sweep hashing the same kernel once per option point
-    emits and hashes its text only once.  Text and path inputs are never
+    The digest is memoized on the kernel *object*, in a ``_digest_memo``
+    attribute, so a sweep hashing the same kernel once per option point
+    emits and hashes its text only once.  Objects that cannot take that
+    attribute recompute on every call.  Text and path inputs are never
     memoized: a path's content can change, and hashing a string is the
     memo lookup.
     """
@@ -64,20 +58,11 @@ def kernel_digest(kernel: object) -> str:
     memo = getattr(kernel, "_digest_memo", None)
     if isinstance(memo, str):
         return memo
-    try:
-        memo = _DIGEST_MEMO.get(kernel)
-    except TypeError:  # not weak-referenceable
-        memo = None
-    if memo is not None:
-        return memo
     digest = _sha(_kernel_text(kernel))
     try:
         kernel._digest_memo = digest  # type: ignore[attr-defined]
     except (AttributeError, TypeError):
-        try:
-            _DIGEST_MEMO[kernel] = digest
-        except TypeError:
-            pass  # frozen slots, no weakref: recompute next time
+        pass  # no memo slot: recompute next time
     return digest
 
 

@@ -27,7 +27,11 @@ import numpy as np
 
 from repro import obs
 from repro.launcher.options import LauncherOptions
-from repro.launcher.stopping import EXPERIMENT_BUCKETS, bootstrap_ci
+from repro.launcher.stopping import (
+    EXPERIMENT_BUCKETS,
+    bootstrap_ci,
+    resample_indices,
+)
 from repro.machine.noise import NoiseEnvironment, NoiseModel
 
 #: Simulated cost of one kernel-function invocation (call, prologue,
@@ -325,6 +329,10 @@ def run_measurement_batch(
         )
         tsc = np.maximum(perturbed - overhead_estimate_ns, 0.0) * tsc_ghz
         n_done += step
+        if adaptive:
+            # Every live configuration has n_done samples: one draw
+            # serves the round.
+            indices = resample_indices(noise.seed, n_done)
         still_live = []
         for cfg, row in zip(live, tsc.tolist()):
             tsc_samples[cfg].extend(row)
@@ -335,7 +343,7 @@ def run_measurement_batch(
                 cpi = np.asarray(tsc_samples[cfg]) / (
                     options.repetitions * requests[cfg].loop_iterations
                 )
-                ci_low, ci_high, rciw = bootstrap_ci(cpi, noise.seed)
+                ci_low, ci_high, rciw = bootstrap_ci(cpi, indices)
                 converged = rciw <= options.rciw_target
                 if converged or n_done >= budget:
                     quality[cfg] = (ci_low, ci_high, rciw, converged)

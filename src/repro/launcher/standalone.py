@@ -17,7 +17,6 @@ synchronization, the noise environment, and repeated timed runs.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -38,10 +37,6 @@ class StandaloneResult:
     @property
     def n_processes(self) -> int:
         return len(self.per_process)
-
-    @property
-    def mean_seconds(self) -> float:
-        return statistics.fmean(m.total_seconds for m in self.per_process)
 
     @property
     def max_seconds(self) -> float:

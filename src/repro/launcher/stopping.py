@@ -23,7 +23,7 @@ Determinism is structural, not incidental:
   therefore a *prefix* of the fixed-count run's samples: configurations
   that converge drop out of later rounds without shifting anybody
   else's draws.
-- Bootstrap resampling uses a shared index matrix keyed only by
+- Bootstrap resampling uses a shared index matrix drawn only from
   ``(seed, n_samples)`` — independent of configuration order, batch
   composition, chunking, worker count, and resume position.
 
@@ -47,14 +47,6 @@ CONFIDENCE = 0.95
 
 #: Histogram bounds for the per-job experiments-spent metric.
 EXPERIMENT_BUCKETS = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-#: Cached resample-index matrices, keyed by ``(|seed|, n_samples)``.
-#: A campaign re-checks convergence at the same handful of sample counts
-#: for every job sharing a noise seed; the matrix depends on nothing
-#: else, so it is drawn once.
-_RESAMPLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-_RESAMPLE_CACHE_MAX = 1 << 10
 
 #: Seed-sequence tag separating bootstrap streams from the noise
 #: process's per-experiment streams (which use ``experiment + 1_000_003``).
@@ -126,32 +118,27 @@ def resample_indices(seed: int, n_samples: int) -> np.ndarray:
     """The shared bootstrap index matrix for ``n_samples`` observations.
 
     Shape ``(BOOTSTRAP_RESAMPLES, n_samples)``, values in
-    ``[0, n_samples)``.  Keyed only by ``(|seed|, n_samples)`` so every
+    ``[0, n_samples)``.  Drawn only from ``(|seed|, n_samples)`` so every
     configuration with the same sample count resamples identically — the
     property that makes adaptive convergence independent of batch
-    composition and config order.
+    composition and config order.  Every configuration still sampling in
+    a round of :func:`~repro.launcher.measurement.run_measurement_batch`
+    has the same count, so the batch draws this matrix once per round.
     """
-    key = (abs(seed), n_samples)
-    indices = _RESAMPLE_CACHE.get(key)
-    if indices is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (abs(seed), _BOOTSTRAP_STREAM_TAG, n_samples)
-            )
-        )
-        indices = rng.integers(
-            0, n_samples, size=(BOOTSTRAP_RESAMPLES, n_samples)
-        )
-        if len(_RESAMPLE_CACHE) >= _RESAMPLE_CACHE_MAX:
-            _RESAMPLE_CACHE.clear()
-        _RESAMPLE_CACHE[key] = indices
-    return indices
+    rng = np.random.default_rng(
+        np.random.SeedSequence((abs(seed), _BOOTSTRAP_STREAM_TAG, n_samples))
+    )
+    return rng.integers(0, n_samples, size=(BOOTSTRAP_RESAMPLES, n_samples))
 
 
 def bootstrap_ci(
-    samples: Sequence[float], seed: int
+    samples: Sequence[float], indices: np.ndarray
 ) -> tuple[float, float, float]:
     """Bootstrapped CI of the mean, clamped to bracket the sample mean.
+
+    ``indices`` is the resample matrix for ``len(samples)`` observations,
+    ``resample_indices(seed, len(samples))``; the caller draws it so that
+    configurations sharing a sample count share one draw.
 
     Returns ``(ci_low, ci_high, rciw)`` where ``rciw`` is the relative
     CI width ``(ci_high - ci_low) / mean``.  The percentile interval is
@@ -164,7 +151,6 @@ def bootstrap_ci(
     mean = float(values.mean())
     if len(values) < 2:
         return mean, mean, 0.0
-    indices = resample_indices(seed, len(values))
     means = values[indices].mean(axis=1)
     alpha = 100.0 * (1.0 - CONFIDENCE) / 2.0
     lo, hi = np.percentile(means, (alpha, 100.0 - alpha))

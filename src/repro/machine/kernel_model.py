@@ -140,15 +140,6 @@ class MemStream:
                     splits[a.opcode] = splits.get(a.opcode, 0.0) + 1.0
         return {op: count / window for op, count in splits.items()}
 
-    def split_accesses(self, alignment: int, line: int = 64) -> list[MemAccess]:
-        """Accesses (static body copies) crossing a line at this alignment."""
-        out = []
-        for a in self.accesses:
-            start = (alignment + a.offset) % line
-            if a.width > 1 and start + a.width > line:
-                out.append(a)
-        return out
-
     def first_phase(self, alignment: int) -> int:
         """Address phase of the stream's first access (for conflict tests)."""
         first = min((a.offset for a in self.accesses), default=0)

@@ -24,23 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-#: Cached primitive draws per noise stream, keyed by ``(|seed|, experiment)``.
-#:
-#: A stream's first three draws — one standard normal, two uniforms — do
-#: not depend on the duration being perturbed or on the environment, only
-#: on the stream identity, so they can be drawn once and replayed for
-#: every measurement that shares the stream.  Constructing the
-#: ``SeedSequence``/``Generator`` pair dominates :meth:`NoiseModel.perturb`
-#: (an order of magnitude over the draws themselves); a kernel sweep that
-#: reuses one noise seed across hundreds of configurations pays it once
-#: per stream instead of once per configuration.
-_STREAM_CACHE: dict[tuple[int, int], tuple[float, float, float]] = {}
-
-#: Cache bound: cleared wholesale when full (campaign runs derive a fresh
-#: seed per job, so unbounded growth is otherwise possible).
-_STREAM_CACHE_MAX = 1 << 16
-
-
 @dataclass(frozen=True, slots=True)
 class NoiseEnvironment:
     """Which stabilization measures are in effect for a measurement."""
@@ -112,42 +95,6 @@ class NoiseModel:
     # vectorized fast path                                                 #
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def clear_stream_cache() -> None:
-        """Drop cached stream primitives (benchmarks time cold starts)."""
-        _STREAM_CACHE.clear()
-
-    def _stream_primitives(
-        self, experiments: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first three draws of each experiment's stream, cached.
-
-        ``numpy`` seeds every stream independently, so draws taken past
-        the ones a given environment consumes never change the earlier
-        values — caching one normal and two uniforms per stream serves
-        every interrupt-masked environment, pinned or not.
-        """
-        seed_key = abs(self.seed)
-        n = len(experiments)
-        z = np.empty(n)
-        u1 = np.empty(n)
-        u2 = np.empty(n)
-        for i, experiment in enumerate(experiments):
-            key = (seed_key, experiment)
-            primitives = _STREAM_CACHE.get(key)
-            if primitives is None:
-                rng = self.rng_for(experiment)
-                primitives = (
-                    float(rng.standard_normal()),
-                    float(rng.random()),
-                    float(rng.random()),
-                )
-                if len(_STREAM_CACHE) >= _STREAM_CACHE_MAX:
-                    _STREAM_CACHE.clear()
-                _STREAM_CACHE[key] = primitives
-            z[i], u1[i], u2[i] = primitives
-        return z, u1, u2
-
     def perturb_batch(
         self,
         durations_ns: object,
@@ -179,27 +126,16 @@ class NoiseModel:
         reps = max(1, env.inner_repetitions)
         jitter_sigma = self.baseline_jitter / np.sqrt(reps)
 
-        if env.interrupts_disabled:
-            # No duration-dependent draw: the whole stream prefix is
-            # cacheable and the math is pure array arithmetic.
-            z, u1, u2 = self._stream_primitives(experiments)
-            factors = 1.0 + jitter_sigma * z
-            if not env.pinned:
-                factors = np.where(
-                    u1 < self.migration_probability,
-                    factors + u2 * self.migration_magnitude,
-                    factors,
-                )
-        else:
-            # The poisson tick count depends on each duration, so the
-            # streams must be consumed live, in scalar draw order.
-            generators = [self.rng_for(e) for e in experiments]
-            factors = np.empty(n)
-            for i, rng in enumerate(generators):
-                factor = 1.0 + rng.normal(0.0, jitter_sigma)
-                if not env.pinned and rng.random() < self.migration_probability:
-                    factor += rng.random() * self.migration_magnitude
-                factors[i] = factor
+        # One live generator per experiment, consumed in scalar draw order.
+        generators = [self.rng_for(e) for e in experiments]
+        factors = np.empty(n)
+        for i, rng in enumerate(generators):
+            factor = 1.0 + rng.normal(0.0, jitter_sigma)
+            if not env.pinned and rng.random() < self.migration_probability:
+                factor += rng.random() * self.migration_magnitude
+            factors[i] = factor
+        if not env.interrupts_disabled:
+            # The poisson tick count is the one duration-dependent draw.
             expected = np.maximum(
                 durations / 1e6 * self.interrupt_rate_per_ms, 0.0
             )

@@ -26,10 +26,6 @@ class TimestampCounter:
         """Current counter value in TSC cycles (what ``rdtsc`` returns)."""
         return int(self._now_ns * self.nominal_ghz)
 
-    @property
-    def now_ns(self) -> float:
-        return self._now_ns
-
     def advance_ns(self, duration_ns: float) -> None:
         """Advance simulated wall-clock time."""
         if duration_ns < 0:

@@ -183,6 +183,22 @@ class TestIndexRecovery:
             if i not in damaged:
                 assert healed.get(f"j{i}") == [meas(i)]
 
+    def test_record_without_check_rejected(self, tmp_path):
+        """The store checksums every put, so a segment line with no
+        ``check`` is damage: an altered payload whose checksum field was
+        also removed must not be served."""
+        cache = ShardedResultCache(tmp_path, shards=1)
+        cache.put("j0", [meas(0)])
+        (segment,) = tmp_path.glob("results.shards/seg-*.jsonl")
+        record = json.loads(segment.read_bytes())
+        del record["check"]
+        record["measurements"][0]["experiment_tsc"][0] = 999.0
+        segment.write_text(json.dumps(record) + "\n")
+        (tmp_path / "results.shards" / "index.bin").unlink()
+        reopened = ShardedResultCache(tmp_path)
+        assert reopened.corrupt_lines == 1
+        assert reopened.get("j0") is None
+
 
 class TestMigration:
     def _legacy_results(self, tmp_path, n=9):
@@ -204,6 +220,22 @@ class TestMigration:
         # Second open: already sharded, the .migrated file is left alone.
         again = open_result_cache(tmp_path)
         assert len(again) == 9
+
+    def test_legacy_records_without_check_migrated(self, tmp_path):
+        """Legacy lines from before checksums existed still migrate, and
+        the store writes them back checksummed."""
+        (tmp_path / "results.jsonl").write_text(
+            "".join(
+                json.dumps({"job_id": f"m{i}", "measurements": [meas(i)]}) + "\n"
+                for i in range(3)
+            )
+        )
+        cache = open_result_cache(tmp_path)
+        assert len(cache) == 3 and cache.get("m1") == [meas(1)]
+        (tmp_path / "results.shards" / "index.bin").unlink()
+        reopened = ShardedResultCache(tmp_path)
+        assert reopened.corrupt_lines == 0
+        assert reopened.get("m2") == [meas(2)]
 
     def test_legacy_gencache_migrated(self, tmp_path):
         record = generation_record("sd", "od", "spec", [_FakeKernel(0), _FakeKernel(1)])

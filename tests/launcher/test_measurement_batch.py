@@ -120,14 +120,12 @@ def _kwargs(ideal=250.0, **overrides):
 class TestRunMeasurementAgainstReference:
     @pytest.mark.parametrize("options", OPTION_VARIANTS)
     def test_bit_identical_to_pre_batching_path(self, options):
-        NoiseModel.clear_stream_cache()
         noise = NoiseModel(seed=2024)
         got = _measure_one(options=options, noise=noise, **_kwargs())
         want = _reference_run_measurement(options=options, noise=noise, **_kwargs())
         assert got == want  # dataclass equality: every field, exact floats
 
     def test_per_experiment_ideals(self):
-        NoiseModel.clear_stream_cache()
         noise = NoiseModel(seed=7)
         options = LauncherOptions(experiments=5)
         ideals = [100.0, 150.0, 200.0, 250.0, 300.0]
@@ -150,7 +148,6 @@ class TestRunMeasurementAgainstReference:
 
 class TestRunMeasurementBatch:
     def test_batch_equals_per_config_calls(self):
-        NoiseModel.clear_stream_cache()
         noise = NoiseModel(seed=13)
         options = LauncherOptions(experiments=8)
         requests = [

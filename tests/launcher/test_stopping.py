@@ -209,20 +209,43 @@ class TestBootstrap:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_ci_always_brackets_mean(self, samples, seed):
-        lo, hi, rciw = bootstrap_ci(samples, seed)
+        lo, hi, rciw = bootstrap_ci(samples, resample_indices(seed, len(samples)))
         mean = float(np.mean(samples))
         assert lo <= mean <= hi
         assert rciw >= 0.0
 
     def test_single_sample_has_zero_width(self):
-        lo, hi, rciw = bootstrap_ci([3.5], 1)
+        lo, hi, rciw = bootstrap_ci([3.5], resample_indices(1, 1))
         assert lo == hi == 3.5
         assert rciw == 0.0
 
     def test_identical_samples_converge_immediately(self):
-        lo, hi, rciw = bootstrap_ci([2.0] * 12, 7)
+        lo, hi, rciw = bootstrap_ci([2.0] * 12, resample_indices(7, 12))
         assert lo == hi == 2.0
         assert rciw == 0.0
+
+    def test_one_resample_matrix_per_round(self, monkeypatch):
+        """Every configuration still sampling in a round has the same
+        sample count, so a multi-configuration batch draws the bootstrap
+        matrix once per round, not once per configuration."""
+        from repro.launcher import measurement
+
+        drawn = []
+
+        def counting(seed, n_samples):
+            drawn.append(n_samples)
+            return resample_indices(seed, n_samples)
+
+        monkeypatch.setattr(measurement, "resample_indices", counting)
+        options = LauncherOptions(
+            rciw_target=1e-6,
+            min_experiments=3,
+            max_experiments=32,
+            batch_size=4,
+        )
+        results = _run(_requests(40), options, seed=11)
+        assert {m.experiments_spent for m in results} == {32}
+        assert drawn == [3, 7, 11, 15, 19, 23, 27, 31, 32]
 
 
 class TestQualityFieldsFlow:
