@@ -174,6 +174,16 @@ class Campaign:
         machine_dig = machine_digest(self.machine)
         index = 0
         for sweep in self.sweeps:
+            # Options, their digest and the tags depend only on the
+            # option point, so build them once per sweep, not per kernel.
+            # Jobs of one point share the frozen options object; each job
+            # still gets its own (mutable) tags dict.
+            points = []
+            for overrides in sweep.option_points():
+                options = sweep.base.with_(**overrides)
+                points.append(
+                    (options, options_digest(options), dict(sweep.tags, **overrides))
+                )
             n_explicit = len(sweep.kernels)
             spec_dig = opts_dig = ""
             if defer and sweep.spec is not None:
@@ -199,19 +209,17 @@ class Campaign:
                         digest=kernel_dig,
                         name=kernel_name,
                     )
-                for overrides in sweep.option_points():
-                    options = sweep.base.with_(**overrides)
-                    job_id = job_id_for(
-                        kernel_dig, options_digest(options), machine_dig, sweep.mode
-                    )
+                for options, point_dig, tags in points:
                     yield Job(
-                        job_id=job_id,
+                        job_id=job_id_for(
+                            kernel_dig, point_dig, machine_dig, sweep.mode
+                        ),
                         index=index,
                         kernel=payload,
                         kernel_name=kernel_name,
                         mode=sweep.mode,
                         options=options,
-                        tags=dict(sweep.tags, **overrides),
+                        tags=dict(tags),
                         kernel_digest=kernel_dig,
                     )
                     index += 1

@@ -70,6 +70,10 @@ def _tupled(value: object) -> object:
     return value
 
 
+#: Every field :func:`measurement_from_dict` accepts.
+_MEASUREMENT_FIELDS = frozenset(f.name for f in dataclasses.fields(Measurement))
+
+
 def measurement_from_dict(data: dict) -> Measurement:
     """Reconstruct a measurement from :func:`measurement_to_dict` output.
 
@@ -82,8 +86,7 @@ def measurement_from_dict(data: dict) -> Measurement:
     data["metadata"] = {
         k: _tupled(v) for k, v in (data.get("metadata") or {}).items()
     }
-    known = {f.name for f in dataclasses.fields(Measurement)}
-    unknown = set(data) - known
+    unknown = set(data) - _MEASUREMENT_FIELDS
     if unknown:
         raise ValueError(f"unknown measurement fields: {sorted(unknown)}")
     return Measurement(**data)

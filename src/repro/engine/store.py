@@ -8,26 +8,31 @@ tests and resume scans never parse payloads they do not need:
     store.json                  {"format": 1, "shards": 8,
                                  "segment_records": 4096}
     index.bin                   header + packed (key64, shard, segment,
-                                offset, length, crc) entries
+                                offset, length, line, crc) entries
     seg-SS-NNNNNN.jsonl         fixed-size JSONL segments, shard SS
 
 Records are appended to the active segment of shard
 ``key64(key) % shards``; after every data append one index entry is
 appended, so an intact index answers "is this job cached?" with one
 ``searchsorted`` over a memory-mapped-sized array — no JSON touched.
+Each entry also carries ``line``, a 64-bit digest of the record's line
+bytes, so an indexed read verifies the bytes the store wrote with one
+hash instead of re-canonicalising the record.  An index written before
+the digest existed (version 1) is rebuilt from the segments on open.
 When a segment reaches ``segment_records`` records it is *sealed*:
 its appender is closed and later records go to the next segment.
 
 Every record carries a whole-record checksum
-(:func:`~repro.engine.cache.record_check`), and damage degrades to
-exactly what line-by-line parsing of the segment bytes recovers: a torn
-data tail is re-scanned from the index's coverage point; a torn index
-tail is truncated to whole entries; a record whose bytes fail their
-checksum or lost a delimiting newline is not served from its indexed
-range, and the key's shard is re-scanned; a flipped byte in the index
-fails the per-entry CRC and the index is rebuilt from the segments; a
-deleted ``index.bin`` is likewise rebuilt.  The first write after damage
-was observed repairs the store atomically.
+(:func:`~repro.engine.cache.record_check`), checked wherever no index
+entry vouches for the bytes (puts, tail rescans, full scans, migration),
+and damage degrades to exactly what line-by-line parsing of the segment
+bytes recovers: a torn data tail is re-scanned from the index's coverage
+point; a torn index tail is truncated to whole entries; a record whose
+bytes no longer match their line digest or lost a delimiting newline is
+not served from its indexed range, and the key's shard is re-scanned; a
+flipped byte in the index fails the per-entry CRC and the index is
+rebuilt from the segments; a deleted ``index.bin`` is likewise rebuilt.
+The first write after damage was observed repairs the store atomically.
 
 A cache directory still holding a single-file JSONL cache from an
 earlier release (``results.jsonl``, ``gencache.jsonl``) is migrated on
@@ -62,12 +67,13 @@ from repro.engine.gencache import (
 )
 
 INDEX_MAGIC = b"RPROIDX1"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 #: Index file header: magic, version, shards, segment_records.
 INDEX_HEADER = struct.Struct("<8sHHI")
 
 #: One index entry.  ``key`` is the first 8 bytes of sha256(record key);
-#: ``length`` excludes the trailing newline; ``crc`` covers the other
+#: ``length`` excludes the trailing newline; ``line`` is
+#: :func:`line_digest` of the record's line; ``crc`` covers the other
 #: fields so a flipped byte anywhere in the index is detected at load.
 ENTRY_DTYPE = np.dtype(
     [
@@ -76,6 +82,7 @@ ENTRY_DTYPE = np.dtype(
         ("segment", "<u4"),
         ("offset", "<u8"),
         ("length", "<u4"),
+        ("line", "<u8"),
         ("crc", "<u4"),
     ]
 )
@@ -94,6 +101,12 @@ def key64(key: str) -> int:
     )
 
 
+def line_digest(line: bytes) -> int:
+    """The 64-bit digest of a record's line bytes (no newline): the first
+    8 bytes of sha256, as strong a check as the record's own ``check``."""
+    return int.from_bytes(hashlib.sha256(line).digest()[:8], "little")
+
+
 def _entry_crc(entries: np.ndarray) -> np.ndarray:
     """Vectorized per-entry CRC over every field except ``crc`` itself."""
     x = entries["key"] * _MIX1
@@ -101,6 +114,7 @@ def _entry_crc(entries: np.ndarray) -> np.ndarray:
     x = x ^ (entries["segment"].astype(np.uint64) + np.uint64(3)) * _MIX3
     x = x ^ entries["offset"].astype(np.uint64) * _MIX2
     x = x ^ entries["length"].astype(np.uint64) * _MIX3
+    x = x ^ (entries["line"] + np.uint64(7)) * _MIX1
     x = x ^ (x >> np.uint64(29))
     return (x & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
@@ -120,6 +134,7 @@ class _SegmentScan:
     """One segment's scan result: valid locations, damage accounting."""
 
     valids: list = field(default_factory=list)  # (key, offset, length)
+    digests: list = field(default_factory=list)  # line_digest per valid
     records: list | None = None  # parsed records when keep=True
     raws: list | None = None  # raw valid lines when keep=True
     corrupt: int = 0
@@ -153,7 +168,8 @@ class ShardedStore:
         self.segment_records = segment_records
         self._keys = np.empty(0, dtype="<u8")
         self._locs = np.empty(0, dtype=ENTRY_DTYPE)
-        self._overlay: dict[str, tuple[int, int, int, int]] = {}
+        # key -> (shard, segment, offset, length, line digest)
+        self._overlay: dict[str, tuple[int, int, int, int, int]] = {}
         self._shard_state: dict[int, _Shard] = {}
         self._n = 0
         self._corrupt = 0
@@ -195,7 +211,8 @@ class ShardedStore:
         k = key64(key)
         # np.uint64 keeps searchsorted on the u8 fast path: probing with a
         # Python int below 2**63 would promote the whole array per call.
-        i = int(np.searchsorted(self._keys, np.uint64(k)))
+        # The method form skips np.searchsorted's dispatch (~1.3 us).
+        i = int(self._keys.searchsorted(np.uint64(k)))
         return i < len(self._keys) and int(self._keys[i]) == k
 
     @property
@@ -358,11 +375,11 @@ class ShardedStore:
             data = fh.read()
         scan = self._scan_bytes(data, base=start)
         state = self._shard_state.setdefault(shard, _Shard())
-        for key, offset, length in scan.valids:
+        for (key, offset, length), line in zip(scan.valids, scan.digests):
             if key not in self:
                 self._n += 1
-            self._overlay[key] = (shard, segment, offset, length)
-            self._append_index_entry(key, shard, segment, offset, length)
+            self._overlay[key] = (shard, segment, offset, length, line)
+            self._append_index_entry(key, shard, segment, offset, length, line)
         state.records += len(scan.valids)
         if scan.corrupt:
             self._corrupt += scan.corrupt
@@ -411,6 +428,7 @@ class ShardedStore:
                 scan.corrupt += 1
                 continue
             scan.valids.append((record[self.key_field], offset, len(raw)))
+            scan.digests.append(line_digest(raw))
             if keep:
                 scan.records.append(record)
                 scan.raws.append(raw)
@@ -435,7 +453,7 @@ class ShardedStore:
         active: dict[int, int] = {}
         for sh, seg, _path in segments:
             active[sh] = max(active.get(sh, seg), seg)
-        entry_rows: list[tuple[str, int, int, int, int]] = []
+        entry_rows: list[tuple[str, int, int, int, int, int]] = []
         total_corrupt = 0
         for sh, seg, path in segments:
             scan = self._scan_segment(path, keep=heal)
@@ -444,8 +462,8 @@ class ShardedStore:
                 scan = self._rewrite_segment(path, scan)
             total_corrupt += scan.corrupt
             entry_rows.extend(
-                (key, sh, seg, off, length)
-                for key, off, length in scan.valids
+                (key, sh, seg, off, length, line)
+                for (key, off, length), line in zip(scan.valids, scan.digests)
             )
             if not sealed:
                 self._shard_state[sh] = _Shard(
@@ -470,7 +488,7 @@ class ShardedStore:
             fh.flush()
             os.fsync(fh.fileno())
         tmp.replace(path)
-        healed = _SegmentScan()
+        healed = _SegmentScan(digests=scan.digests)
         offset = 0
         for key, _off, length in scan.valids:
             healed.valids.append((key, offset, length))
@@ -479,11 +497,11 @@ class ShardedStore:
         return healed
 
     def _entries_array(
-        self, rows: Sequence[tuple[str, int, int, int, int]]
+        self, rows: Sequence[tuple[str, int, int, int, int, int]]
     ) -> np.ndarray:
         entries = np.zeros(len(rows), dtype=ENTRY_DTYPE)
-        for i, (key, sh, seg, off, length) in enumerate(rows):
-            entries[i] = (key64(key), sh, seg, off, length, 0)
+        for i, (key, sh, seg, off, length, line) in enumerate(rows):
+            entries[i] = (key64(key), sh, seg, off, length, line, 0)
         if len(entries):
             entries["crc"] = _entry_crc(entries)
         return entries
@@ -516,11 +534,12 @@ class ShardedStore:
         segment: int,
         offset: int,
         length: int,
+        line: int,
         *,
         flush: bool = True,
     ) -> None:
         entry = np.zeros(1, dtype=ENTRY_DTYPE)
-        entry[0] = (key64(key), shard, segment, offset, length, 0)
+        entry[0] = (key64(key), shard, segment, offset, length, line, 0)
         entry["crc"] = _entry_crc(entry)
         if self._index_fh is None:
             if not self.index_path.exists():
@@ -535,26 +554,23 @@ class ShardedStore:
     def get_record(self, key: str) -> dict | None:
         """The stored record for ``key``, or ``None``.
 
-        The index resolves the record's exact byte range, so a lookup
-        parses one line (``store.index_hit``); only a record whose bytes
-        fail validation falls back to scanning the key's own shard
-        (``store.index_miss``), which recovers exactly what line-by-line
-        parsing of the segments would.  A key absent from both overlay
-        and index is simply absent — membership stays O(log n).
+        The index resolves the record's exact byte range and vouches for
+        its bytes with their line digest, so a lookup hashes and parses
+        one line (``store.index_hit``) without re-checksumming the record;
+        only a record whose bytes no longer match falls back to scanning
+        the key's own shard (``store.index_miss``), which recovers exactly
+        what line-by-line parsing of the segments would.  A key absent
+        from both overlay and index is simply absent — membership stays
+        O(log n).
         """
         loc = self._overlay.get(key)
         if loc is None:
             k = key64(key)
-            i = int(np.searchsorted(self._keys, np.uint64(k)))
+            i = int(self._keys.searchsorted(np.uint64(k)))
             if not (i < len(self._keys) and int(self._keys[i]) == k):
                 return None
-            row = self._locs[i]
-            loc = (
-                int(row["shard"]),
-                int(row["segment"]),
-                int(row["offset"]),
-                int(row["length"]),
-            )
+            _k, shard, segment, offset, length, line, _crc = self._locs.item(i)
+            loc = (shard, segment, offset, length, line)
         record = self._read_at(loc, key)
         if record is not None:
             obs.count("store.index_hit")
@@ -574,9 +590,9 @@ class ShardedStore:
         return handle
 
     def _read_at(
-        self, loc: tuple[int, int, int, int], key: str
+        self, loc: tuple[int, int, int, int, int], key: str
     ) -> dict | None:
-        shard, segment, offset, length = loc
+        shard, segment, offset, length, line = loc
         # Read one byte either side: the record is only still a line of
         # its own if newlines delimit it (the file start before it; EOF
         # after it while a torn tail awaits its newline).  Damage that
@@ -593,11 +609,13 @@ class ShardedStore:
             return None
         if raw[lead + length :] not in (b"", b"\n"):
             return None
-        try:
-            record = json.loads(raw[lead : lead + length])
-        except ValueError:
+        body = raw[lead : lead + length]
+        # Indexed bytes are the bytes the store wrote after checksumming
+        # (or validated on a scan), so an equal digest vouches for them.
+        if line_digest(body) != line:
             return None
-        if not self._valid(record) or record.get(self.key_field) != key:
+        record = json.loads(body)
+        if record.get(self.key_field) != key:
             return None
         return record
 
@@ -638,7 +656,8 @@ class ShardedStore:
         state = self._shard_state.setdefault(shard, _Shard())
         if state.records >= self.segment_records:
             self._seal(shard)
-        line = json.dumps(record).encode() + b"\n"
+        body = json.dumps(record).encode()
+        line = line_digest(body)
         offset = state.size
         fh = self._appender(shard, state.segment)
         if state.torn:
@@ -647,14 +666,14 @@ class ShardedStore:
             fh.write(b"\n")
             offset += 1
             state.torn = False
-        fh.write(line)
+        fh.write(body + b"\n")
         if flush:
             fh.flush()
-        state.size = offset + len(line)
+        state.size = offset + len(body) + 1
         state.records += 1
-        self._overlay[key] = (shard, state.segment, offset, len(line) - 1)
+        self._overlay[key] = (shard, state.segment, offset, len(body), line)
         self._append_index_entry(
-            key, shard, state.segment, offset, len(line) - 1, flush=flush
+            key, shard, state.segment, offset, len(body), line, flush=flush
         )
         if new_key:
             self._n += 1

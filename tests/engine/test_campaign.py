@@ -119,3 +119,113 @@ class TestDerivedSeeds:
         assert job.execution_options().with_(noise_seed=0) == job.options.with_(
             noise_seed=0
         )
+
+
+def _reference_expansion(campaign, *, defer):
+    """The plain per-job loop: every job rebuilds and re-hashes its own
+    options.  ``Campaign.jobs`` must expand to exactly these jobs."""
+    from repro.engine.hashing import (
+        job_id_for,
+        kernel_digest,
+        machine_digest,
+        options_digest,
+    )
+
+    machine_dig = machine_digest(campaign.machine)
+    index = 0
+    for sweep in campaign.sweeps:
+        n_explicit = len(sweep.kernels)
+        for ki, kernel in enumerate(sweep.iter_kernels()):
+            kernel_dig = kernel_digest(kernel)
+            for overrides in sweep.option_points():
+                options = sweep.base.with_(**overrides)
+                yield {
+                    "job_id": job_id_for(
+                        kernel_dig, options_digest(options), machine_dig, sweep.mode
+                    ),
+                    "index": index,
+                    "kernel_name": getattr(kernel, "name", None) or str(kernel),
+                    "mode": sweep.mode,
+                    "options": options,
+                    "tags": dict(sweep.tags, **overrides),
+                    "kernel_digest": kernel_dig,
+                    "deferred": defer and ki >= n_explicit,
+                }
+                index += 1
+
+
+class TestExpansionPerOptionPoint:
+    """Options, their digest and the tags are built once per option
+    point of a sweep; the jobs are the per-job loop's, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self, nehalem, movaps_variants):
+        from repro.kernels.reduction import dot_product_spec
+
+        base = LauncherOptions(array_bytes=8 * 1024, trip_count=512)
+        spec = dot_product_spec(2, unroll=(1, 2))
+        return Campaign(
+            name="oracle",
+            machine=nehalem,
+            sweeps=(
+                SweepSpec(
+                    kernels=tuple(movaps_variants[:3]),
+                    base=base,
+                    axes={"trip_count": (64, 128)},
+                    tags={"level": "L1"},
+                ),
+                SweepSpec(spec=spec, base=base),
+                SweepSpec(
+                    kernels=(movaps_variants[7],),
+                    spec=spec,
+                    base=base,
+                    axes={"trip_count": (64, 256), "repetitions": (1, 2)},
+                    tags={"grid": "two-axis"},
+                ),
+            ),
+        )
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_jobs_equal_the_per_job_loop(self, campaign, defer):
+        from repro.engine import KernelRef
+
+        got = [
+            {
+                "job_id": j.job_id,
+                "index": j.index,
+                "kernel_name": j.kernel_name,
+                "mode": j.mode,
+                "options": j.options,
+                "tags": j.tags,
+                "kernel_digest": j.kernel_digest,
+                "deferred": isinstance(j.kernel, KernelRef),
+            }
+            for j in campaign.jobs(defer=defer)
+        ]
+        assert got == list(_reference_expansion(campaign, defer=defer))
+        assert any(g["deferred"] for g in got) == defer
+
+    def test_options_digest_once_per_option_point(
+        self, campaign, monkeypatch
+    ):
+        import repro.engine.campaign as campaign_module
+
+        calls = []
+        real = campaign_module.options_digest
+        monkeypatch.setattr(
+            campaign_module,
+            "options_digest",
+            lambda options: calls.append(options) or real(options),
+        )
+        jobs = campaign.job_list()
+        points = sum(len(list(s.option_points())) for s in campaign.sweeps)
+        assert len(calls) == points == 2 + 1 + 4
+        assert len(jobs) > points
+
+    def test_job_tags_are_not_shared(self, campaign):
+        jobs = campaign.job_list()
+        same_point = [j for j in jobs if j.tags == {"level": "L1", "trip_count": 64}]
+        assert len(same_point) == 3
+        same_point[0].tags["mutated"] = True
+        assert all("mutated" not in j.tags for j in same_point[1:])
+        assert all("mutated" not in j.tags for j in campaign.job_list())

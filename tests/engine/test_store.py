@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -13,8 +14,15 @@ from repro.engine import (
     open_generation_cache,
     open_result_cache,
 )
+from repro.engine import cache as cache_module
 from repro.engine.gencache import generation_record
-from repro.engine.store import ShardedStore
+from repro.engine.store import (
+    ENTRY_DTYPE,
+    INDEX_HEADER,
+    INDEX_VERSION,
+    ShardedStore,
+)
+from tests.engine.test_store_corruption_property import _reference_recovery
 from tests.legacy_jsonl import legacy_line, result_line
 
 
@@ -198,6 +206,64 @@ class TestIndexRecovery:
         reopened = ShardedResultCache(tmp_path)
         assert reopened.corrupt_lines == 1
         assert reopened.get("j0") is None
+
+
+    def test_indexed_get_skips_record_check(self, tmp_path, monkeypatch):
+        """An index entry's line digest vouches for the bytes the store
+        wrote: indexed gets hash the line instead of re-checksumming the
+        record, from the overlay, from index.bin and in the gen cache."""
+        written = self.fill(tmp_path)  # served from the overlay
+        reopened = ShardedResultCache(tmp_path)  # served from index.bin
+        gen = ShardedGenerationCache(tmp_path, shards=1)
+        gen.put("sd", "od", "spec", [_FakeKernel(i) for i in range(3)])
+        gen = ShardedGenerationCache(tmp_path)
+        calls = []
+        real = cache_module.record_check
+        monkeypatch.setattr(
+            cache_module,
+            "record_check",
+            lambda record: calls.append(record) or real(record),
+        )
+        for i in range(11):
+            assert written.get(f"j{i}") == [meas(i)]
+            assert reopened.get(f"j{i}") == [meas(i)]
+        assert [v.variant_id for v in gen.get("sd", "od")] == [0, 1, 2]
+        assert calls == []
+
+    def test_version_1_index_rebuilt_once(self, tmp_path):
+        self.fill(tmp_path)
+        index = tmp_path / "results.shards" / "index.bin"
+        blob = bytearray(index.read_bytes())
+        struct.pack_into("<H", blob, 8, 1)  # the header's version field
+        index.write_bytes(bytes(blob))
+        reopened = ShardedResultCache(tmp_path)
+        assert len(reopened) == 11
+        for i in range(11):
+            assert reopened.get(f"j{i}") == [meas(i)]
+        data = index.read_bytes()
+        version = INDEX_HEADER.unpack_from(data)[1]
+        assert version == INDEX_VERSION == 2
+        entries = len(data) - INDEX_HEADER.size
+        assert entries == 11 * ENTRY_DTYPE.itemsize
+
+    def test_reformatted_line_falls_back_to_scan(self, tmp_path):
+        """Same-length whitespace damage still parses to a record whose
+        checksum holds, but no longer matches the line digest: the get
+        is an index miss, answered by the shard scan."""
+        self.fill(tmp_path)
+        segment = sorted(tmp_path.glob("results.shards/seg-*.jsonl"))[0]
+        blob = segment.read_bytes()
+        segment.write_bytes(blob.replace(b'": ', b'":\t', 1))
+        key = json.loads(blob.split(b"\n")[0])["job_id"]
+        expected = _reference_recovery(tmp_path / "results.shards")[key]
+        reopened = ShardedResultCache(tmp_path)
+        obs.enable()
+        try:
+            assert reopened.get(key) == expected
+            counters = obs.metrics_snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert counters["store.index_miss"] == 1
 
 
 class TestMigration:
