@@ -145,6 +145,7 @@ def _run_new(campaign, jobs) -> tuple[float, dict]:
         campaign,
         jobs,
         stats=stats,
+        pooled=True,
         faults=None,
         attempts=defaultdict(int),
         max_retries=0,
@@ -203,7 +204,7 @@ def _bench_cache_batching() -> dict:
 def test_dispatch_throughput():
     campaign = _campaign()
     jobs = campaign.job_list(defer=True)
-    assert len(jobs) >= 2000
+    assert len(jobs) == 254 * N_LABELS
 
     real_run_job = runner._run_job
     runner._run_job = _stub_run_job

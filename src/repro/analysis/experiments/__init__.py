@@ -13,6 +13,7 @@ design-choice ablations.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,6 +68,10 @@ def register(name: str):
     return deco
 
 
+class UnsupportedSetting(TypeError):
+    """An experiment was handed a setting it would silently ignore."""
+
+
 def available_experiments() -> list[str]:
     _load_all()
     return sorted(_REGISTRY)
@@ -83,8 +88,12 @@ def run_experiment(
     """Run a registered experiment by exhibit id (e.g. ``"fig11"``).
 
     ``engine`` holds ``run_campaign`` keywords (``jobs``, ``cache_dir``,
-    ``resume``, ...).  Campaign-backed experiments hand them to
-    ``run_campaign`` unchanged, so a misspelt setting raises there.
+    ``resume``, ...), which campaign-backed experiments hand to
+    ``run_campaign``.  A setting the experiment cannot apply — an engine
+    setting for an experiment that runs no campaign, a stopping setting
+    for one without adaptive stopping, or a name ``run_campaign`` does
+    not take — raises :class:`UnsupportedSetting`, unless it has its
+    default value.
     """
     from repro import obs
 
@@ -95,6 +104,12 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
+    _refuse_ignored(
+        name,
+        fn,
+        engine,
+        {"rciw_target": rciw_target, "max_experiments": max_experiments},
+    )
     with obs.span(f"experiment:{name}", metric="analysis.experiment.duration_ms"):
         return fn(
             quick=quick,
@@ -102,6 +117,38 @@ def run_experiment(
             max_experiments=max_experiments,
             engine=engine,
         )
+
+
+def _refuse_ignored(
+    name: str,
+    fn: Callable[..., ExperimentResult],
+    engine: dict[str, object],
+    stopping: dict[str, object],
+) -> None:
+    from repro.engine import run_campaign
+
+    defaults = {
+        key: param.default
+        for key, param in inspect.signature(run_campaign).parameters.items()
+        if param.kind is param.KEYWORD_ONLY
+    }
+    unknown = sorted(set(engine) - set(defaults))
+    if unknown:
+        raise UnsupportedSetting(
+            f"unknown engine setting(s): {', '.join(unknown)}"
+        )
+    takes = inspect.signature(fn).parameters
+    ignored = [
+        f"{k}={v!r}"
+        for k, v in engine.items()
+        if "engine" not in takes and v != defaults[k]
+    ] + [
+        f"{k}={v!r}"
+        for k, v in stopping.items()
+        if k not in takes and v is not None
+    ]
+    if ignored:
+        raise UnsupportedSetting(f"{name} cannot apply {', '.join(ignored)}")
 
 
 def _load_all() -> None:
@@ -117,4 +164,10 @@ def _load_all() -> None:
     )
 
 
-__all__ = ["ExperimentResult", "register", "available_experiments", "run_experiment"]
+__all__ = [
+    "ExperimentResult",
+    "UnsupportedSetting",
+    "register",
+    "available_experiments",
+    "run_experiment",
+]

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.analysis import available_experiments, run_experiment
+from repro.analysis.experiments import UnsupportedSetting
 from repro.engine import Campaign, PoolUnusable, SweepSpec, run_campaign
 from repro.launcher import LauncherOptions
 from repro.launcher.csvout import write_csv
@@ -321,7 +322,7 @@ def _observed_main(args) -> int:
                 max_experiments=args.max_experiments,
                 **engine_settings(args),
             )
-        except KeyError as exc:
+        except (KeyError, UnsupportedSetting) as exc:
             print(f"microlauncher: {exc}", file=sys.stderr)
             return 2
         print(result.render())

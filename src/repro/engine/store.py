@@ -11,16 +11,19 @@ tests and resume scans never parse payloads they do not need:
                                 offset, length, line, crc) entries
     seg-SS-NNNNNN.jsonl         fixed-size JSONL segments, shard SS
 
-Records are appended to the active segment of shard
-``key64(key) % shards``; after every data append one index entry is
-appended, so an intact index answers "is this job cached?" with one
-``searchsorted`` over a memory-mapped-sized array — no JSON touched.
+Records are written in batches (:meth:`ShardedStore.put_records`): each
+record goes to the active segment of shard ``key64(key) % shards``,
+every segment the batch touched gets its lines in one write and is
+flushed, and only then are the batch's index entries appended as one
+array and flushed.  So an index entry never points at segment bytes the
+OS has not got, and an intact index answers "is this job cached?" with
+one ``searchsorted`` over a memory-mapped-sized array — no JSON touched.
 Each entry also carries ``line``, a 64-bit digest of the record's line
 bytes, so an indexed read verifies the bytes the store wrote with one
 hash instead of re-canonicalising the record.  An index written before
 the digest existed (version 1) is rebuilt from the segments on open.
 When a segment reaches ``segment_records`` records it is *sealed*:
-its appender is closed and later records go to the next segment.
+later records go to the next segment.
 
 Every record carries a whole-record checksum
 (:func:`~repro.engine.cache.record_check`), checked wherever no index
@@ -119,6 +122,18 @@ def _entry_crc(entries: np.ndarray) -> np.ndarray:
     return (x & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
 
+def _entries_array(
+    rows: Sequence[tuple[int, int, int, int, int, int]],
+) -> np.ndarray:
+    """Index entries for ``(key64, shard, segment, offset, length, line)``
+    rows, filled and CRC'd column by column."""
+    entries = np.zeros(len(rows), dtype=ENTRY_DTYPE)
+    for name, column in zip(ENTRY_DTYPE.names, zip(*rows)):
+        entries[name] = column
+    entries["crc"] = _entry_crc(entries)
+    return entries
+
+
 @dataclass(slots=True)
 class _Shard:
     """Mutable per-shard write state (active segment only)."""
@@ -170,6 +185,8 @@ class ShardedStore:
         self._locs = np.empty(0, dtype=ENTRY_DTYPE)
         # key -> (shard, segment, offset, length, line digest)
         self._overlay: dict[str, tuple[int, int, int, int, int]] = {}
+        # Rows a tail rescan located, for the next index append.
+        self._unindexed: list[tuple[int, int, int, int, int, int]] = []
         self._shard_state: dict[int, _Shard] = {}
         self._n = 0
         self._corrupt = 0
@@ -206,14 +223,15 @@ class ShardedStore:
         return self._n
 
     def __contains__(self, key: str) -> bool:
-        if key in self._overlay:
-            return True
-        k = key64(key)
+        return key in self._overlay or self._find(key64(key)) >= 0
+
+    def _find(self, k: int) -> int:
+        """Position of index key ``k`` in the lookup arrays, or -1."""
         # np.uint64 keeps searchsorted on the u8 fast path: probing with a
         # Python int below 2**63 would promote the whole array per call.
         # The method form skips np.searchsorted's dispatch (~1.3 us).
         i = int(self._keys.searchsorted(np.uint64(k)))
-        return i < len(self._keys) and int(self._keys[i]) == k
+        return i if i < len(self._keys) and int(self._keys[i]) == k else -1
 
     @property
     def corrupt_lines(self) -> int:
@@ -365,9 +383,9 @@ class ShardedStore:
         """Recover records appended after the index's last entry.
 
         Valid tail records go into the overlay *and* straight back into
-        the index file, restoring the covered-exactly invariant before
-        the segment can seal.  Damaged tail bytes count as corruption and
-        schedule a repair.
+        the index file (an empty :meth:`put_records` batch), restoring
+        the covered-exactly invariant before the segment can seal.
+        Damaged tail bytes count as corruption and schedule a repair.
         """
         path = self._segment_path(shard, segment)
         with path.open("rb") as fh:
@@ -379,8 +397,11 @@ class ShardedStore:
             if key not in self:
                 self._n += 1
             self._overlay[key] = (shard, segment, offset, length, line)
-            self._append_index_entry(key, shard, segment, offset, length, line)
+            self._unindexed.append(
+                (key64(key), shard, segment, offset, length, line)
+            )
         state.records += len(scan.valids)
+        self.put_records(())
         if scan.corrupt:
             self._corrupt += scan.corrupt
             self._dirty = True
@@ -453,7 +474,7 @@ class ShardedStore:
         active: dict[int, int] = {}
         for sh, seg, _path in segments:
             active[sh] = max(active.get(sh, seg), seg)
-        entry_rows: list[tuple[str, int, int, int, int, int]] = []
+        entry_rows: list[tuple[int, int, int, int, int, int]] = []
         total_corrupt = 0
         for sh, seg, path in segments:
             scan = self._scan_segment(path, keep=heal)
@@ -462,7 +483,7 @@ class ShardedStore:
                 scan = self._rewrite_segment(path, scan)
             total_corrupt += scan.corrupt
             entry_rows.extend(
-                (key, sh, seg, off, length, line)
+                (key64(key), sh, seg, off, length, line)
                 for (key, off, length), line in zip(scan.valids, scan.digests)
             )
             if not sealed:
@@ -472,7 +493,7 @@ class ShardedStore:
                     records=len(scan.valids),
                     torn=scan.torn,
                 )
-        entries = self._entries_array(entry_rows)
+        entries = _entries_array(entry_rows)
         self._build_lookup(entries)
         self._corrupt = total_corrupt
         self._dirty = total_corrupt > 0
@@ -496,16 +517,6 @@ class ShardedStore:
         healed.size = offset
         return healed
 
-    def _entries_array(
-        self, rows: Sequence[tuple[str, int, int, int, int, int]]
-    ) -> np.ndarray:
-        entries = np.zeros(len(rows), dtype=ENTRY_DTYPE)
-        for i, (key, sh, seg, off, length, line) in enumerate(rows):
-            entries[i] = (key64(key), sh, seg, off, length, line, 0)
-        if len(entries):
-            entries["crc"] = _entry_crc(entries)
-        return entries
-
     # -- index file ----------------------------------------------------
 
     def _write_index(self, entries: np.ndarray) -> None:
@@ -527,28 +538,6 @@ class ShardedStore:
             os.fsync(fh.fileno())
         tmp.replace(self.index_path)
 
-    def _append_index_entry(
-        self,
-        key: str,
-        shard: int,
-        segment: int,
-        offset: int,
-        length: int,
-        line: int,
-        *,
-        flush: bool = True,
-    ) -> None:
-        entry = np.zeros(1, dtype=ENTRY_DTYPE)
-        entry[0] = (key64(key), shard, segment, offset, length, line, 0)
-        entry["crc"] = _entry_crc(entry)
-        if self._index_fh is None:
-            if not self.index_path.exists():
-                self._write_index(np.empty(0, dtype=ENTRY_DTYPE))
-            self._index_fh = self.index_path.open("ab")
-        self._index_fh.write(entry.tobytes())
-        if flush:
-            self._index_fh.flush()
-
     # -- read path -----------------------------------------------------
 
     def get_record(self, key: str) -> dict | None:
@@ -565,9 +554,8 @@ class ShardedStore:
         """
         loc = self._overlay.get(key)
         if loc is None:
-            k = key64(key)
-            i = int(self._keys.searchsorted(np.uint64(k)))
-            if not (i < len(self._keys) and int(self._keys[i]) == k):
+            i = self._find(key64(key))
+            if i < 0:
                 return None
             _k, shard, segment, offset, length, line, _crc = self._locs.item(i)
             loc = (shard, segment, offset, length, line)
@@ -636,63 +624,62 @@ class ShardedStore:
 
     # -- write path ----------------------------------------------------
 
-    def put_record(self, key: str, record: dict, *, flush: bool = True) -> None:
-        """Checksum, append, and index one record (repairing first if
-        damage was observed).
+    def put_records(self, items: Sequence[tuple[str, dict]]) -> None:
+        """Checksum, append and index a batch of ``(key, record)`` pairs
+        (repairing first if damage was observed).
 
-        ``flush=False`` defers the durability point: the segment and
-        index bytes are written but not flushed, letting a caller batch
-        a chunk of records and make them durable with one
-        :meth:`flush` — same bytes on disk, one syscall round instead
-        of two per record.
+        Each record's ``check`` is stamped and its line placed at the end
+        of its shard's active segment, sealing a full segment first;
+        later records win duplicate keys, within a batch as across
+        batches.  Then every segment the batch touched receives its lines
+        in one write and is flushed, and only after that are the batch's
+        index entries appended as one array and flushed — so a process
+        killed anywhere in here never leaves an index entry pointing past
+        the segment bytes the OS has.
         """
-        record = dict(record)
-        record.pop("check", None)
-        record["check"] = record_check(record)
-        if self._dirty:
+        # An empty batch only indexes rows a tail rescan located; the
+        # load that found them observes damage, it does not repair it.
+        if self._dirty and items:
             self._repair()
-        new_key = key not in self
-        shard = key64(key) % self.shards
-        state = self._shard_state.setdefault(shard, _Shard())
-        if state.records >= self.segment_records:
-            self._seal(shard)
-        body = json.dumps(record).encode()
-        line = line_digest(body)
-        offset = state.size
-        fh = self._appender(shard, state.segment)
-        if state.torn:
-            # A torn write left a valid final line with no newline;
-            # appending straight onto it would weld two records.
-            fh.write(b"\n")
-            offset += 1
-            state.torn = False
-        fh.write(body + b"\n")
-        if flush:
+        rows, self._unindexed = self._unindexed, []
+        lines: dict[tuple[int, int], list[bytes]] = {}
+        for key, record in items:
+            record = dict(record)
+            record.pop("check", None)
+            record["check"] = record_check(record)
+            body = json.dumps(record).encode()
+            k = key64(key)
+            if key not in self._overlay and self._find(k) < 0:
+                self._n += 1
+            shard = k % self.shards
+            state = self._shard_state.setdefault(shard, _Shard())
+            if state.records >= self.segment_records:
+                state = self._seal(shard)
+            pending = lines.setdefault((shard, state.segment), [])
+            if state.torn:
+                # A torn write left a valid final line with no newline;
+                # appending straight onto it would weld two records.
+                pending.append(b"\n")
+                state.size += 1
+                state.torn = False
+            pending.append(body + b"\n")
+            loc = (
+                shard, state.segment, state.size, len(body), line_digest(body)
+            )
+            self._overlay[key] = loc
+            rows.append((k, *loc))
+            state.size += len(body) + 1
+            state.records += 1
+        for (shard, segment), pending in lines.items():
+            fh = self._appender(shard, segment)
+            fh.write(b"".join(pending))
             fh.flush()
-        state.size = offset + len(body) + 1
-        state.records += 1
-        self._overlay[key] = (shard, state.segment, offset, len(body), line)
-        self._append_index_entry(
-            key, shard, state.segment, offset, len(body), line, flush=flush
-        )
-        if new_key:
-            self._n += 1
-
-    def flush(self) -> None:
-        """Flush every open appender, then the index.
-
-        The ordering matters for a deferred batch: segment bytes reach
-        the disk before the index entries that point into them, so a
-        crash between the two leaves dangling index entries (which
-        lookup validation already survives) rather than indexed keys
-        with missing bytes.
-        """
-        for _segment, fh in self._appenders.values():
-            try:
-                fh.flush()
-            except ValueError:  # pragma: no cover - appender closed
-                pass
-        if self._index_fh is not None:
+        if rows:
+            if self._index_fh is None:
+                if not self.index_path.exists():
+                    self._write_index(np.empty(0, dtype=ENTRY_DTYPE))
+                self._index_fh = self.index_path.open("ab")
+            self._index_fh.write(_entries_array(rows).tobytes())
             self._index_fh.flush()
 
     def _appender(self, shard: int, segment: int):
@@ -705,21 +692,18 @@ class ShardedStore:
         self._appenders[shard] = (segment, fh)
         return fh
 
-    def _seal(self, shard: int) -> None:
-        """Close the active segment's appender and advance the segment."""
+    def _seal(self, shard: int) -> _Shard:
+        """Advance the shard to a fresh segment; the full one's appender
+        is replaced when the next segment is first written."""
         state = self._shard_state[shard]
         with obs.span(
             "store.seal", metric="store.seal_ms", shard=shard,
             segment=state.segment,
         ):
-            cached = self._appenders.pop(shard, None)
-            if cached is not None:
-                cached[1].close()
-            state.segment += 1
-            state.size = 0
-            state.records = 0
-            state.torn = False
+            state = _Shard(segment=state.segment + 1)
+            self._shard_state[shard] = state
         obs.count("store.seal")
+        return state
 
     def _repair(self) -> None:
         with obs.span("store.repair"):
@@ -800,27 +784,28 @@ class ShardedResultCache:
         kernel: str = "",
         mode: str = "",
     ) -> None:
-        """Store and immediately flush one job's measurements."""
+        """Store one job's measurements (a batch of one)."""
         self.put_many([(job_id, measurements, kernel, mode)])
 
     def put_many(
         self, entries: list[tuple[str, list[dict], str, str]]
     ) -> None:
         """Store a chunk's results — ``(job_id, measurements, kernel,
-        mode)`` tuples — deferring the flush to one batch-end
-        :meth:`ShardedStore.flush` (segments before index)."""
-        for job_id, measurements, kernel, mode in entries:
-            self._store.put_record(
-                job_id,
-                {
-                    "job_id": job_id,
-                    "kernel": kernel,
-                    "mode": mode,
-                    "measurements": measurements,
-                },
-                flush=False,
-            )
-        self._store.flush()
+        mode)`` tuples — as one :meth:`ShardedStore.put_records` batch."""
+        self._store.put_records(
+            [
+                (
+                    job_id,
+                    {
+                        "job_id": job_id,
+                        "kernel": kernel,
+                        "mode": mode,
+                        "measurements": measurements,
+                    },
+                )
+                for job_id, measurements, kernel, mode in entries
+            ]
+        )
 
 
 class ShardedGenerationCache:
@@ -883,14 +868,15 @@ class ShardedGenerationCache:
     ) -> None:
         """Store one complete expansion (every variant, pre-filter)."""
         record = generation_record(spec_dig, opts_dig, spec_name, variants)
-        self._store.put_record(record["key"], record)
+        self._store.put_records([(record["key"], record)])
 
 
 # -- factories + migration ---------------------------------------------
 
 
 def _migrate(legacy: Path, store: ShardedStore, what: str) -> None:
-    """Move a legacy JSONL cache file's valid records into ``store``.
+    """Move a legacy JSONL cache file's valid records into ``store``, as
+    one batch.
 
     The rename to ``.migrated`` is the commit point: until it happens the
     legacy file stays where it is, so a migration interrupted part-way is
@@ -901,8 +887,7 @@ def _migrate(legacy: Path, store: ShardedStore, what: str) -> None:
         return
     records = load_legacy_jsonl(legacy, store.key_field, store._valid)
     with obs.span("store.migrate", what=what, records=len(records)):
-        for key, record in records.items():
-            store.put_record(key, record)
+        store.put_records(list(records.items()))
         legacy.rename(legacy.with_name(legacy.name + ".migrated"))
     obs.count("store.migrate")
 

@@ -4,8 +4,8 @@ A :class:`Tracer` records :class:`Span` intervals — named, attributed,
 parent/child nested — on a monotonic clock (``time.perf_counter``), with
 one wall-clock anchor per tracer so consumers can place the whole trace
 in calendar time.  Nesting is per thread: each thread keeps its own span
-stack, so a span opened on the engine's deadline thread becomes a root
-there instead of corrupting the main thread's hierarchy.
+stack, so a span opened on another thread becomes a root there instead
+of corrupting the main thread's hierarchy.
 
 Spans are context managers::
 

@@ -9,7 +9,7 @@ the paper's qualitative statements.
 import pytest
 
 from repro.analysis import available_experiments, run_experiment
-from repro.analysis.experiments import ExperimentResult
+from repro.analysis.experiments import ExperimentResult, UnsupportedSetting
 
 ALL_EXHIBITS = [
     "fig02",
@@ -70,6 +70,15 @@ class TestRegistry:
     def test_misspelt_engine_setting_rejected(self):
         with pytest.raises(TypeError, match="job"):
             run_experiment("fig14", quick=True, job=4)
+        # A direct-launcher exhibit runs no campaign, yet must not
+        # swallow the misspelling either.
+        with pytest.raises(TypeError, match="job"):
+            run_experiment("fig03", quick=True, job=4)
+
+    def test_stopping_setting_rejected_without_adaptive_stopping(self):
+        """fig14 runs campaigns, but none with a stopping rule."""
+        with pytest.raises(UnsupportedSetting, match="rciw_target=0.02"):
+            run_experiment("fig14", quick=True, rciw_target=0.02)
 
 
 @pytest.mark.parametrize("name", ALL_EXHIBITS + ABLATIONS + EXTENSIONS + USES)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -21,6 +22,8 @@ from repro.engine.store import (
     INDEX_HEADER,
     INDEX_VERSION,
     ShardedStore,
+    _entries_array,
+    _entry_crc,
 )
 from tests.engine.test_store_corruption_property import _reference_recovery
 from tests.legacy_jsonl import legacy_line, result_line
@@ -126,6 +129,22 @@ class TestSegments:
             assert len(reopened) == 12
         finally:
             json.loads = original
+
+
+class TestEntriesArray:
+    def test_columns_match_row_by_row_reference(self):
+        """The column-built index entries are byte-identical to entries
+        assigned one row at a time."""
+        rows = [
+            (2**64 - 1 - i * 7919, i % 8, i // 3, i * 811, 600 + i, 2**63 + i)
+            for i in range(50)
+        ]
+        reference = np.zeros(len(rows), dtype=ENTRY_DTYPE)
+        for i, row in enumerate(rows):
+            reference[i] = (*row, 0)
+        reference["crc"] = _entry_crc(reference)
+        assert _entries_array(rows).tobytes() == reference.tobytes()
+        assert len(_entries_array([])) == 0
 
 
 class TestIndexRecovery:
@@ -317,17 +336,13 @@ class TestMigration:
         ``.migrated`` rename is its commit point, so no legacy record is
         stranded."""
         self._legacy_results(tmp_path)
-        real_put = ShardedStore.put_record
-        calls = 0
+        real_put = ShardedStore.put_records
 
-        def dying_put(self, key, record, **kwargs):
-            nonlocal calls
-            calls += 1
-            if calls == 4:
-                raise _Killed
-            return real_put(self, key, record, **kwargs)
+        def dying_put(self, items):
+            real_put(self, list(items)[:3])  # three records land, then death
+            raise _Killed
 
-        monkeypatch.setattr(ShardedStore, "put_record", dying_put)
+        monkeypatch.setattr(ShardedStore, "put_records", dying_put)
         with pytest.raises(_Killed):
             open_result_cache(tmp_path)
         monkeypatch.undo()

@@ -137,6 +137,20 @@ class TestLauncherCli:
     def test_unknown_exhibit(self, capsys):
         assert launcher_main(["--exhibit", "fig99"]) == 2
 
+    def test_exhibit_rejects_setting_it_cannot_apply(self, tmp_path, capsys):
+        """fig15 runs no campaign and has no adaptive stopping: engine and
+        stopping flags are refused in one line, not silently dropped."""
+        args = [
+            "--exhibit", "fig15", "--jobs", "4",
+            "--cache-dir", str(tmp_path / "d"), "--rciw-target", "0.02",
+        ]
+        assert launcher_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "fig15 cannot apply" in err
+        assert "jobs=4" in err and "rciw_target=0.02" in err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_kernel(self, capsys):
         assert launcher_main([]) == 2
 
