@@ -68,6 +68,29 @@ def register(name: str):
     return deco
 
 
+def pure_loads(opcode: str, unroll: int | None = None):
+    """The pure-load variants of ``loadstore_family(opcode)``.
+
+    Generates the family (one pipeline run per call) and keeps the
+    variants whose every memory copy is a load — one per unroll factor:
+    all of them in unroll order, or the one at ``unroll``.
+    """
+    from repro.creator import MicroCreator
+    from repro.kernels import loadstore_family
+
+    loads = sorted(
+        (
+            k
+            for k in MicroCreator().generate(loadstore_family(opcode))
+            if set(k.mix) == {"L"}
+        ),
+        key=lambda k: k.unroll,
+    )
+    if unroll is None:
+        return loads
+    return next(k for k in loads if k.unroll == unroll)
+
+
 class UnsupportedSetting(TypeError):
     """An experiment was handed a setting it would silently ignore."""
 
@@ -167,6 +190,7 @@ def _load_all() -> None:
 __all__ = [
     "ExperimentResult",
     "UnsupportedSetting",
+    "pure_loads",
     "register",
     "available_experiments",
     "run_experiment",

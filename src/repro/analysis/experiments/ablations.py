@@ -6,20 +6,13 @@ decisions by showing what breaks without them.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import ExperimentResult, register
+from repro.analysis.experiments import ExperimentResult, pure_loads, register
 from repro.analysis.series import Table
 from repro.creator import MicroCreator
 from repro.engine import Campaign, SweepSpec, run_campaign
-from repro.kernels import loadstore_family, multi_array_traversal
+from repro.kernels import multi_array_traversal
 from repro.launcher import LauncherOptions, MicroLauncher
 from repro.machine import MemLevel, nehalem_2s_x5650, nehalem_4s_x7550
-
-
-def _ram_load_kernel(creator: MicroCreator):
-    return next(
-        k for k in creator.generate(loadstore_family("movaps"))
-        if k.unroll == 8 and set(k.mix) == {"L"}
-    )
 
 
 def _grid(name, kernel, base, axes, *, machine, engine: dict[str, object]):
@@ -46,7 +39,7 @@ def ablation_aggregator(
     noise-free time; the mean drifts upward with every spike.
     """
     machine = nehalem_2s_x5650()
-    kernel = _ram_load_kernel(MicroCreator())
+    kernel = pure_loads("movaps", unroll=8)
     base = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.L2),
         trip_count=1 << 14,
@@ -93,7 +86,7 @@ def ablation_warmup(
     shows — which is exactly why the launcher reports stability bands.
     """
     machine = nehalem_2s_x5650()
-    kernel = _ram_load_kernel(MicroCreator())
+    kernel = pure_loads("movaps", unroll=8)
     base = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.L2),
         trip_count=1 << 14,
@@ -139,7 +132,7 @@ def ablation_overhead(
     both agree — the classic bias-vs-measurement-length trade-off.
     """
     machine = nehalem_2s_x5650()
-    kernel = _ram_load_kernel(MicroCreator())
+    kernel = pure_loads("movaps", unroll=8)
     trips = (64, 512, 4096, 1 << 15)
     base = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.L1),
@@ -196,7 +189,7 @@ def ablation_inner_reps(
     roughly as 1/sqrt(repetitions).
     """
     machine = nehalem_2s_x5650()
-    kernel = _ram_load_kernel(MicroCreator())
+    kernel = pure_loads("movaps", unroll=8)
     base = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.L2),
         trip_count=1 << 14,
@@ -333,13 +326,9 @@ def ablation_residence(**_: object) -> ExperimentResult:
     sets that *jointly* overflow a level, only the trace policy sees the
     demotion; the bench quantifies the error the default would make.
     """
-    from repro.kernels import multi_array_traversal
-
     machine = nehalem_2s_x5650()
     launcher = MicroLauncher(machine)
-    creator = MicroCreator()
-
-    single = _ram_load_kernel(creator)
+    single = pure_loads("movaps", unroll=8)
     single_opts = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.L2),
         trip_count=1 << 14,
@@ -351,7 +340,9 @@ def ablation_residence(**_: object) -> ExperimentResult:
         single, single_opts.with_(residence_mode="trace")
     ).cycles_per_iteration
 
-    joint = creator.generate(multi_array_traversal(2, "movaps", unroll=(4, 4)))[0]
+    joint = MicroCreator().generate(
+        multi_array_traversal(2, "movaps", unroll=(4, 4))
+    )[0]
     size = 3 * machine.cache(MemLevel.L1).size_bytes // 4
     joint_opts = single_opts.with_(array_bytes=size)
     footprint = launcher.run(joint, joint_opts).cycles_per_iteration
@@ -387,11 +378,7 @@ def ablation_fill_cost(**_: object) -> ExperimentResult:
     demand never saturates bandwidth.  The fill term is what keeps a
     visible (if small) gap, as the paper's Fig. 12 shows.
     """
-    creator = MicroCreator()
-    kernel = next(
-        k for k in creator.generate(loadstore_family("movss"))
-        if k.unroll == 8 and set(k.mix) == {"L"}
-    )
+    kernel = pure_loads("movss", unroll=8)
     gaps = {}
     for label, fill in (("with fill cost", None), ("without", {})):
         machine = nehalem_2s_x5650()

@@ -10,7 +10,7 @@ consistency.
 from __future__ import annotations
 
 from repro.analysis.autotune import tune
-from repro.analysis.experiments import ExperimentResult, register
+from repro.analysis.experiments import ExperimentResult, pure_loads, register
 from repro.analysis.series import Series, Table
 from repro.creator import MicroCreator, abstract_program
 from repro.kernels import loadstore_family
@@ -21,13 +21,6 @@ from repro.machine import (
     energy_frequency_sweep,
     nehalem_2s_x5650,
 )
-
-
-def _load_kernel_u8(creator: MicroCreator):
-    return next(
-        k for k in creator.generate(loadstore_family("movaps"))
-        if k.unroll == 8 and set(k.mix) == {"L"}
-    )
 
 
 @register("ext_power")
@@ -41,8 +34,7 @@ def ext_power(**_: object) -> ExperimentResult:
     savings win monotonically.
     """
     machine = nehalem_2s_x5650()
-    creator = MicroCreator()
-    kernel = _load_kernel_u8(creator)
+    kernel = pure_loads("movaps", unroll=8)
     _, body = kernel.program.kernel_loop()
     from repro.machine import analyze_kernel
 
@@ -93,8 +85,7 @@ def ext_mpi(*, quick: bool = False, **_: object) -> ExperimentResult:
     """
     machine = nehalem_2s_x5650()
     launcher = MicroLauncher(machine)
-    creator = MicroCreator()
-    kernel = _load_kernel_u8(creator)
+    kernel = pure_loads("movaps", unroll=8)
     options = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.RAM),
         trip_count=1 << 14,
@@ -191,11 +182,7 @@ def ext_abstraction(**_: object) -> ExperimentResult:
     """
     machine = nehalem_2s_x5650()
     launcher = MicroLauncher(machine)
-    creator = MicroCreator()
-    hotspot = next(
-        k for k in creator.generate(loadstore_family("movaps"))
-        if k.unroll == 2 and k.mix == "LL"
-    )
+    hotspot = pure_loads("movaps", unroll=2)
     spec = abstract_program(hotspot.program, unroll=(1, 8))
     family = MicroCreator().generate(spec)
     regenerated = next(k for k in family if k.unroll == 2)

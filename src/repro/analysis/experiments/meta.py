@@ -3,7 +3,7 @@ output, and the stability claim (sections 3, 4.7, 5)."""
 
 from __future__ import annotations
 
-from repro.analysis.experiments import ExperimentResult, register
+from repro.analysis.experiments import ExperimentResult, pure_loads, register
 from repro.analysis.series import Table
 from repro.creator import MicroCreator
 from repro.kernels import all_mov_families, loadstore_family, spec_path
@@ -127,11 +127,7 @@ def stability(*, quick: bool = False, **_: object) -> ExperimentResult:
     """
     machine = nehalem_2s_x5650()
     launcher = MicroLauncher(machine)
-    creator = MicroCreator()
-    kernel = next(
-        k for k in creator.generate(loadstore_family("movaps"))
-        if k.unroll == 8 and set(k.mix) == {"L"}
-    )
+    kernel = pure_loads("movaps", unroll=8)
     base = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.L2),
         trip_count=1 << 14,

@@ -4,21 +4,14 @@ from __future__ import annotations
 
 import statistics
 
-from repro.analysis.experiments import ExperimentResult, register
+from repro.analysis.experiments import ExperimentResult, pure_loads, register
 from repro.analysis.series import Series, Table
 from repro.analysis.stats import find_knee, relative_change, relative_spread
 from repro.creator import MicroCreator
 from repro.engine import Campaign, SweepSpec, run_campaign
-from repro.kernels import loadstore_family, multi_array_traversal
+from repro.kernels import multi_array_traversal
 from repro.launcher import LauncherOptions, MicroLauncher
 from repro.machine import MemLevel, nehalem_2s_x5650, nehalem_4s_x7550, sandy_bridge_e31240
-
-
-def _eight_load_ram_kernel(creator: MicroCreator):
-    return next(
-        k for k in creator.generate(loadstore_family("movaps"))
-        if k.unroll == 8 and set(k.mix) == {"L"}
-    )
 
 
 @register("fig14")
@@ -35,7 +28,7 @@ def fig14(
     contention grows with every added process.
     """
     machine = nehalem_2s_x5650()
-    kernel = _eight_load_ram_kernel(MicroCreator())
+    kernel = pure_loads("movaps", unroll=8)
     options = LauncherOptions(
         array_bytes=machine.footprint_for(MemLevel.RAM),
         trip_count=1 << 14,
@@ -174,11 +167,7 @@ def _openmp_vs_sequential(
 ):
     """Shared Figs. 17/18 implementation: movss loads, unroll 1..8."""
     machine = sandy_bridge_e31240()
-    creator = MicroCreator()
-    kernels = sorted(
-        (k for k in creator.generate(loadstore_family("movss")) if set(k.mix) == {"L"}),
-        key=lambda k: k.unroll,
-    )
+    kernels = pure_loads("movss")
     if quick:
         kernels = [k for k in kernels if k.unroll in (1, 2, 4, 8)]
     options = LauncherOptions(
@@ -291,13 +280,9 @@ def table2(
     "the overhead of the parallel setup" hides the unrolling gain.
     """
     machine = sandy_bridge_e31240()
-    creator = MicroCreator()
     n_elements = 6_000_000
     passes = 400  # repeated traversals making up the multi-second runtime
-    kernels = sorted(
-        (k for k in creator.generate(loadstore_family("movss")) if set(k.mix) == {"L"}),
-        key=lambda k: k.unroll,
-    )
+    kernels = pure_loads("movss")
     if quick:
         kernels = [k for k in kernels if k.unroll in (1, 2, 4, 8)]
     options = LauncherOptions(

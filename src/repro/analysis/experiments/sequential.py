@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments import ExperimentResult, register
+from repro.analysis.experiments import ExperimentResult, pure_loads, register
 from repro.analysis.series import Series
 from repro.analysis.stats import is_monotone_decreasing
 from repro.creator import MicroCreator
@@ -33,12 +33,12 @@ def _unroll_hierarchy(
     value was taken though the variance was minimal").
     """
     machine = nehalem_2s_x5650()
-    creator = MicroCreator()
-    variants = creator.generate(loadstore_family(opcode))
+    family = MicroCreator().generate(loadstore_family(opcode))
+    variants = family
     if quick:
         # Pure-load and pure-store mixes only: enough for the plotted
         # minima (see below) at a fraction of the measurements.
-        variants = [v for v in variants if len(set(v.mix)) == 1]
+        variants = [v for v in family if len(set(v.mix)) == 1]
     sweeps = tuple(
         SweepSpec(
             kernels=tuple(variants),
@@ -92,7 +92,7 @@ def _unroll_hierarchy(
         series=series,
         x_label="unroll",
         notes={
-            "n_variants": len(creator.generate(loadstore_family(opcode))),
+            "n_variants": len(family),
             "unroll_helps_L1": is_monotone_decreasing(by_label["L1"].y, tolerance=1e-9),
             "levels_ordered_at_8": ordered_at_8,
             "ram_over_l1_at_8": by_label["RAM"].at(8) / by_label["L1"].at(8),
@@ -164,11 +164,7 @@ def fig13(
     modifications do not affect the off-core frequency."
     """
     machine = nehalem_2s_x5650()
-    creator = MicroCreator()
-    kernel = next(
-        k for k in creator.generate(loadstore_family("movaps"))
-        if k.unroll == 8 and set(k.mix) == {"L"}
-    )
+    kernel = pure_loads("movaps", unroll=8)
     freqs = machine.freq_steps[::2] + (machine.freq_steps[-1],) if quick else machine.freq_steps
     freqs = tuple(dict.fromkeys(freqs))  # dedupe, keep order
     sweeps = tuple(

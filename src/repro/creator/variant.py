@@ -9,28 +9,20 @@ from repro.isa.instructions import AsmProgram, Instruction
 from repro.isa.writer import write_program
 
 
-@dataclass(slots=True)
-class GeneratedKernel:
-    """One generated microbenchmark program.
+class VariantFacts:
+    """What a generated variant says about itself, defined once.
 
-    MicroCreator's output is "an assembly file executed by the
-    MicroLauncher tool" (section 3.4); this object carries the program,
-    the choice metadata the passes recorded, and the emitters for the
-    assembly and C forms.
+    Shared by :class:`GeneratedKernel` and the generation cache's
+    :class:`~repro.engine.gencache.CachedVariant`.  Each fact reads the
+    choice metadata the passes recorded and falls back to the program's
+    instructions only where the metadata lacks it, so a subclass need
+    only supply ``metadata`` and ``program``.
     """
 
-    spec_name: str
-    variant_id: int
-    program: AsmProgram
-    metadata: dict[str, object] = field(default_factory=dict)
-    #: Memo slot for :func:`repro.engine.hashing.kernel_digest` — lets
-    #: job-ID hashing reuse one digest across a whole option sweep.
-    _digest_memo: str | None = field(default=None, repr=False, compare=False)
+    __slots__ = ()
 
-    @property
-    def name(self) -> str:
-        """Unique function/symbol name for this variant."""
-        return self.program.name
+    metadata: dict[str, object]
+    program: AsmProgram
 
     @property
     def unroll(self) -> int:
@@ -65,6 +57,30 @@ class GeneratedKernel:
 
     def instructions(self) -> list[Instruction]:
         return list(self.program.instructions())
+
+
+@dataclass(slots=True)
+class GeneratedKernel(VariantFacts):
+    """One generated microbenchmark program.
+
+    MicroCreator's output is "an assembly file executed by the
+    MicroLauncher tool" (section 3.4); this object carries the program,
+    the choice metadata the passes recorded, and the emitters for the
+    assembly and C forms.
+    """
+
+    spec_name: str
+    variant_id: int
+    program: AsmProgram
+    metadata: dict[str, object] = field(default_factory=dict)
+    #: Memo slot for :func:`repro.engine.hashing.kernel_digest` — lets
+    #: job-ID hashing reuse one digest across a whole option sweep.
+    _digest_memo: str | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def name(self) -> str:
+        """Unique function/symbol name for this variant."""
+        return self.program.name
 
     def asm_text(self, *, full_file: bool = False) -> str:
         """The kernel as AT&T assembly (optionally a complete ``.s`` file)."""

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.creator.variant import VariantFacts
 from repro.engine.cache import check_passes
 from repro.engine.hashing import kernel_digest
 from repro.engine.serialize import _tupled
-from repro.isa.instructions import AsmProgram, Instruction
+from repro.isa.instructions import AsmProgram
 
 
 def key_for(spec_dig: str, opts_dig: str) -> str:
@@ -106,16 +107,15 @@ def generation_record(
     }
 
 
-class CachedVariant:
+class CachedVariant(VariantFacts):
     """A generated variant restored from the cache.
 
-    Quacks like :class:`~repro.creator.GeneratedKernel` everywhere the
-    engine and variant filters look — ``name``, ``metadata``, the
-    familiar metadata properties, ``asm_text`` — but holds the rendered
-    text instead of a program.  ``program`` parses lazily on first
-    access, and the stored content digest pre-populates the
-    ``kernel_digest`` memo, so expanding jobs from a warm cache does no
-    parsing and no hashing.
+    Shares :class:`~repro.creator.GeneratedKernel`'s variant facts
+    (:class:`~repro.creator.variant.VariantFacts`) and answers ``name``
+    and ``asm_text`` like it, but holds the rendered text instead of a
+    program.  ``program`` parses lazily on first access, and the stored
+    content digest pre-populates the ``kernel_digest`` memo, so expanding
+    jobs from a warm cache does no parsing and no hashing.
     """
 
     __slots__ = (
@@ -159,41 +159,6 @@ class CachedVariant:
             program.name = self._name
             self._program = program
         return self._program
-
-    @property
-    def unroll(self) -> int:
-        return int(self.metadata.get("unroll", 1))  # type: ignore[arg-type]
-
-    @property
-    def mix(self) -> str:
-        explicit = self.metadata.get("mix")
-        if isinstance(explicit, str):
-            return explicit
-        letters = []
-        for instr in self.instructions():
-            if instr.bytes_moved:
-                letters.append("S" if instr.is_store else "L")
-        return "".join(letters)
-
-    @property
-    def n_loads(self) -> int:
-        return int(self.metadata.get("n_loads", 0))  # type: ignore[arg-type]
-
-    @property
-    def n_stores(self) -> int:
-        return int(self.metadata.get("n_stores", 0))  # type: ignore[arg-type]
-
-    @property
-    def opcodes(self) -> tuple[str, ...]:
-        ops = self.metadata.get("opcodes")
-        if isinstance(ops, tuple):
-            return ops
-        return tuple(
-            sorted({i.opcode for i in self.instructions() if i.bytes_moved})
-        )
-
-    def instructions(self) -> list[Instruction]:
-        return list(self.program.instructions())
 
     def asm_text(self, *, full_file: bool = False) -> str:
         if full_file:

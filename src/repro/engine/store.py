@@ -321,13 +321,14 @@ class ShardedStore:
     def _adopt_index(
         self, entries: np.ndarray, segments: list[tuple[int, int, Path]]
     ) -> bool:
-        """Accept the on-disk index if it exactly covers the segments.
+        """Accept the on-disk index if it covers a prefix of each segment.
 
-        Sealed segments must be covered byte-for-byte; the active segment
-        of each shard may extend past the index (a crash between a data
-        append and its index append), in which case the uncovered tail is
-        re-scanned.  Any other mismatch means the index can no longer be
-        trusted and the caller rebuilds it from the segments.
+        A segment may extend past the index (a crash between a batch's
+        data writes and its index append — in a batch that sealed a
+        segment, that sealed segment too), in which case the uncovered
+        tail is re-scanned.  An index ahead of the data, or naming a
+        segment that is gone, can no longer be trusted and the caller
+        rebuilds it from the segments.
         """
         sizes = {(sh, seg): path.stat().st_size for sh, seg, path in segments}
         active = {}
@@ -355,8 +356,6 @@ class ShardedStore:
             sealed = seg < active[sh]
             if covered > size:
                 return False  # index ahead of data: not ours
-            if sealed and covered != size:
-                return False  # sealed segments must match exactly
             if not sealed:
                 state = self._shard_state.setdefault(sh, _Shard())
                 state.segment = seg
@@ -365,8 +364,8 @@ class ShardedStore:
                 state.torn = not self._ends_with_newline(
                     self._segment_path(sh, seg), size
                 )
-                if covered < size:
-                    tails.append((sh, seg, covered))
+            if covered < size:
+                tails.append((sh, seg, covered))
         self._build_lookup(entries)
         for sh, seg, covered in tails:
             self._rescan_tail(sh, seg, covered)
@@ -384,7 +383,8 @@ class ShardedStore:
 
         Valid tail records go into the overlay *and* straight back into
         the index file (an empty :meth:`put_records` batch), restoring
-        the covered-exactly invariant before the segment can seal.
+        the covered-exactly invariant before the segment can seal.  Only
+        a tail of the shard's active segment counts towards its records.
         Damaged tail bytes count as corruption and schedule a repair.
         """
         path = self._segment_path(shard, segment)
@@ -392,7 +392,6 @@ class ShardedStore:
             fh.seek(start)
             data = fh.read()
         scan = self._scan_bytes(data, base=start)
-        state = self._shard_state.setdefault(shard, _Shard())
         for (key, offset, length), line in zip(scan.valids, scan.digests):
             if key not in self:
                 self._n += 1
@@ -400,7 +399,9 @@ class ShardedStore:
             self._unindexed.append(
                 (key64(key), shard, segment, offset, length, line)
             )
-        state.records += len(scan.valids)
+        state = self._shard_state.setdefault(shard, _Shard())
+        if state.segment == segment:
+            state.records += len(scan.valids)
         self.put_records(())
         if scan.corrupt:
             self._corrupt += scan.corrupt

@@ -147,3 +147,47 @@ class TestSpecificShapes:
     def test_stability_orders_of_magnitude(self):
         r = run_experiment("stability", quick=True)
         assert r.notes["unstabilized_spread"] > 20 * r.notes["stabilized_spread"]
+
+
+def _variants_generated(name: str) -> int:
+    """Variants the pass pipeline produced during one quick run."""
+    from repro import obs
+
+    obs.enable()
+    try:
+        run_experiment(name, quick=True)
+        return obs.metrics_snapshot()["counters"]["creator.variants.generated"]
+    finally:
+        obs.disable()
+
+
+class TestOnePipelineRunPerFamily:
+    @pytest.mark.parametrize("name", ["fig11", "fig12"])
+    def test_unroll_hierarchy_generates_its_family_once(self, name):
+        assert _variants_generated(name) == 510
+
+
+class TestPureLoads:
+    @pytest.mark.parametrize(
+        "opcode, unroll", [("movaps", 8), ("movss", 8), ("movaps", 2)]
+    )
+    def test_matches_inline_filter(self, opcode, unroll):
+        from repro.analysis.experiments import pure_loads
+        from repro.creator import MicroCreator
+        from repro.kernels import loadstore_family
+
+        expected = next(
+            k
+            for k in MicroCreator().generate(loadstore_family(opcode))
+            if k.unroll == unroll and k.mix == "L" * unroll
+        )
+        picked = pure_loads(opcode, unroll)
+        assert picked.name == expected.name
+        assert picked.asm_text(full_file=True) == expected.asm_text(full_file=True)
+
+    def test_all_in_unroll_order(self):
+        from repro.analysis.experiments import pure_loads
+
+        loads = pure_loads("movss")
+        assert [k.unroll for k in loads] == list(range(1, 9))
+        assert all(k.mix == "L" * k.unroll for k in loads)

@@ -109,3 +109,37 @@ class TestDeferredJobs:
             assert {m.kernel_name for m in run.measurements()} == {
                 j.kernel.name for j in deferred
             }
+
+
+class TestWarmExpansionParsesNothing:
+    def test_job_list_over_warm_cache_calls_no_parser(self, tmp_path, monkeypatch):
+        import repro.isa.parser as parser
+
+        campaign = Campaign(
+            name="warm_facts",
+            machine=nehalem_2s_x5650(),
+            sweeps=(
+                SweepSpec(
+                    spec=loadstore_family("movss", unroll=(1, 3)),
+                    # Every variant fact a filter may read, from cached variants.
+                    variant_filter=lambda v: (
+                        v.unroll >= 2
+                        and v.mix.count("L") == v.n_loads
+                        and v.mix.count("S") == v.n_stores
+                        and v.opcodes == ("movss",)
+                    ),
+                    base=LauncherOptions(array_bytes=8 * 1024, trip_count=512),
+                ),
+            ),
+        )
+        cache = open_generation_cache(tmp_path)
+        cold = campaign.job_list(gen_cache=cache)
+        calls = []
+        real = parser.parse_asm
+        monkeypatch.setattr(
+            parser, "parse_asm", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        warm = campaign.job_list(gen_cache=open_generation_cache(tmp_path))
+        assert [j.job_id for j in warm] == [j.job_id for j in cold]
+        assert len(warm) == 12  # 2**2 + 2**3 variants at unroll 2..3
+        assert calls == []

@@ -1,11 +1,13 @@
 """Store crash consistency under a real process exit.
 
 A forked child writes one whole ``put_many`` batch, then dies by
-``os._exit`` partway through a second 256-row batch, once some of that
-batch's segment bytes have reached the OS.  The parent then checks the
-files the child left: no index entry points past the segment bytes on
-disk, a reopen adopts the index without a full rescan, and every record
-the index names — and every whole line on disk — reads back.
+``os._exit`` partway through a second batch, once some of that batch's
+segment bytes have reached the OS: inside a 256-row batch, or at the
+index append of a small batch that sealed a segment.  The parent then
+checks the files the child left: no index entry points past the segment
+bytes on disk, a reopen adopts the index without a full rescan, and
+every record the index names — and every whole line on disk — reads
+back.
 """
 
 from __future__ import annotations
@@ -64,33 +66,37 @@ def _job_id(i: int) -> str:
     return f"{i:016x}"
 
 
-def _batch(start: int) -> list[tuple[str, list[dict], str, str]]:
+def _rows(start: int, stop: int) -> list[tuple[str, list[dict], str, str]]:
     return [
         (_job_id(i), _measurements(i), "movss_loadstore", "sequential")
-        for i in range(start, start + BATCH)
+        for i in range(start, stop)
     ]
 
 
-def _die_mid_second_batch(directory) -> None:
-    """In a forked child: one whole batch, then ``os._exit`` once
-    ``KILL_AT`` rows of the second batch have had index entries built."""
+def _die_in_second_batch(
+    directory, first: int, second: int, *, kill_at: int, **geometry
+) -> None:
+    """In a forked child: rows ``[0, first)`` as one whole batch, then
+    rows ``[first, first + second)`` as a batch during which the child
+    ``os._exit``s once ``kill_at`` of its rows have had index entries
+    built.  ``geometry`` goes to :class:`ShardedResultCache`."""
     pid = os.fork()
     if pid == 0:  # pragma: no cover - runs in the child
         try:
-            cache = ShardedResultCache(directory)
-            cache.put_many(_batch(0))
+            cache = ShardedResultCache(directory, **geometry)
+            cache.put_many(_rows(0, first))
             real_crc = store_module._entry_crc
             built = 0
 
             def dying_crc(entries):
                 nonlocal built
                 built += len(entries)
-                if built >= KILL_AT:
+                if built >= kill_at:
                     os._exit(0)
                 return real_crc(entries)
 
             store_module._entry_crc = dying_crc
-            cache.put_many(_batch(BATCH))
+            cache.put_many(_rows(first, first + second))
         finally:
             os._exit(1)  # the hook never fired
     deadline = time.monotonic() + 60
@@ -112,6 +118,13 @@ def _index_entries(store_dir) -> np.ndarray:
     return np.frombuffer(body[:whole], dtype=ENTRY_DTYPE)
 
 
+def _lines_per_segment(store_dir) -> list[int]:
+    return [
+        path.read_bytes().count(b"\n")
+        for path in sorted(store_dir.glob("seg-*.jsonl"))
+    ]
+
+
 def _lines_on_disk(store_dir) -> list[dict]:
     records = []
     for path in sorted(store_dir.glob("seg-*.jsonl")):
@@ -121,8 +134,19 @@ def _lines_on_disk(store_dir) -> list[dict]:
     return records
 
 
+def _reopen_without_full_scan(monkeypatch, directory, **geometry):
+    def no_full_scan(self, *, heal):  # pragma: no cover - guard
+        raise AssertionError("reopen rebuilt the index with a full scan")
+
+    monkeypatch.setattr(ShardedStore, "_full_scan", no_full_scan)
+    try:
+        return ShardedResultCache(directory, **geometry)
+    finally:
+        monkeypatch.undo()
+
+
 def test_killed_batch_never_indexes_past_segment_bytes(tmp_path, monkeypatch):
-    _die_mid_second_batch(tmp_path)
+    _die_in_second_batch(tmp_path, BATCH, BATCH, kill_at=KILL_AT)
     store_dir = tmp_path / ShardedResultCache.DIRNAME
 
     on_disk = _lines_on_disk(store_dir)
@@ -144,12 +168,7 @@ def test_killed_batch_never_indexes_past_segment_bytes(tmp_path, monkeypatch):
         "segment bytes on disk"
     )
 
-    def no_full_scan(self, *, heal):  # pragma: no cover - guard
-        raise AssertionError("reopen rebuilt the index with a full scan")
-
-    monkeypatch.setattr(ShardedStore, "_full_scan", no_full_scan)
-    cache = ShardedResultCache(tmp_path)
-    monkeypatch.undo()
+    cache = _reopen_without_full_scan(monkeypatch, tmp_path)
 
     ids = {store_module.key64(_job_id(i)): i for i in range(2 * BATCH)}
     for k in entries["key"]:
@@ -159,3 +178,31 @@ def test_killed_batch_never_indexes_past_segment_bytes(tmp_path, monkeypatch):
         i = int(record["job_id"], 16)
         assert cache.get(record["job_id"]) == _measurements(i)
     assert len(cache) == len({r["job_id"] for r in on_disk})
+
+
+def test_killed_seal_crossing_batch_reopens_without_full_scan(
+    tmp_path, monkeypatch
+):
+    """3 indexed rows, then a 6-row batch that fills segment 0 and seals
+    it into segment 1 dies at its index append: both segments end in
+    unindexed tails."""
+    geometry = {"shards": 1, "segment_records": 5}
+    _die_in_second_batch(tmp_path, 3, 6, kill_at=1, **geometry)
+    store_dir = tmp_path / ShardedResultCache.DIRNAME
+    assert len(_index_entries(store_dir)) == 3
+    assert _lines_per_segment(store_dir) == [5, 4]
+
+    cache = _reopen_without_full_scan(monkeypatch, tmp_path, **geometry)
+    assert cache.corrupt_lines == 0
+    assert len(cache) == 9
+    for i in range(9):
+        assert cache.get(_job_id(i)) == _measurements(i)
+
+    # The sealed segment's rescanned rows do not count towards the
+    # active segment: it takes one more row before the next seal.
+    cache.put_many(_rows(9, 11))
+    assert _lines_per_segment(store_dir) == [5, 5, 1]
+    reopened = _reopen_without_full_scan(monkeypatch, tmp_path, **geometry)
+    assert len(reopened) == 11
+    for i in range(11):
+        assert reopened.get(_job_id(i)) == _measurements(i)
