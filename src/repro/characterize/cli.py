@@ -16,8 +16,10 @@ first, so a bare ``verify`` is a self-contained round-trip check.
 semantics — empty on a simulated machine, the interesting output on a
 real one.
 
-Campaigns run through the engine, so ``--jobs``, ``--cache-dir`` and
-``--resume`` behave exactly as in the other CLIs;
+Campaigns run through the engine, and the engine flags (``--jobs``,
+``--cache-dir``, ``--resume``, ``--max-retries``, ``--job-timeout``) are
+the ones ``microlauncher`` and ``microcreator`` declare, so they behave
+exactly as there;
 the solved table is byte-identical for every worker count and across a
 kill/resume.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli.launcher_cli import add_engine_args, engine_settings
 from repro.engine import PoolUnusable
 from repro.machine import PRESETS, preset
 from repro.machine.serialize import MachineFileError, load_machine, save_overlay
@@ -80,29 +83,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="adaptive cap per probe configuration (default: 32)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes"
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cache probe measurements by content hash (resumable)",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="reuse cached results (--no-resume re-measures)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries before a probe job is quarantined",
-    )
-    parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per probe job; a timed run needs worker "
-        "processes, even at --jobs 1, and exits 2 where they cannot be "
-        "spawned",
-    )
+    add_engine_args(parser, gen_cache=False)
     parser.add_argument(
         "--progress", action="store_true", help="print campaign progress"
     )
@@ -183,12 +164,8 @@ def _characterize(args, machine):
         machine,
         opcodes=opcodes,
         options=options,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
         progress=print if args.progress else None,
+        **engine_settings(args),
     )
 
 

@@ -44,8 +44,15 @@ from repro.launcher.stopping import adaptive_overrides
 from repro.machine import PRESETS, preset
 
 
-def add_engine_args(parser: argparse.ArgumentParser) -> None:
-    """The campaign-engine flags ``microlauncher`` and ``microcreator`` share."""
+def add_engine_args(
+    parser: argparse.ArgumentParser, *, gen_cache: bool = True
+) -> None:
+    """The campaign-engine flags every campaign-running CLI shares.
+
+    ``--gen-cache`` is declared only with ``gen_cache``: it persists spec
+    expansions, so only the tools that expand specs (``microlauncher``
+    and ``microcreator``) take it.
+    """
     parser.add_argument(
         "--jobs",
         type=int,
@@ -59,14 +66,15 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="cache measurements by content hash; re-runs skip finished jobs",
     )
-    parser.add_argument(
-        "--gen-cache",
-        metavar="DIR",
-        default=None,
-        help="persist generated variants for spec-backed sweeps "
-        "(--exhibit runs, microcreator --measure): repeated campaigns "
-        "skip the generation pipeline entirely",
-    )
+    if gen_cache:
+        parser.add_argument(
+            "--gen-cache",
+            metavar="DIR",
+            default=None,
+            help="persist generated variants for spec-backed sweeps "
+            "(--exhibit runs, microcreator --measure): repeated campaigns "
+            "skip the generation pipeline entirely",
+        )
     parser.add_argument(
         "--resume",
         action=argparse.BooleanOptionalAction,
@@ -95,14 +103,16 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
 
 def engine_settings(args: argparse.Namespace) -> dict[str, object]:
     """The :func:`add_engine_args` flags as ``run_campaign`` keywords."""
-    return {
+    settings: dict[str, object] = {
         "jobs": args.jobs,
         "cache_dir": args.cache_dir,
         "resume": args.resume,
         "max_retries": args.max_retries,
         "job_timeout": args.job_timeout,
-        "gen_cache_dir": args.gen_cache,
     }
+    if "gen_cache" in args:
+        settings["gen_cache_dir"] = args.gen_cache
+    return settings
 
 
 def run_observed(args: argparse.Namespace, body: Callable[[], int]) -> int:
@@ -207,13 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--frequency", type=float, default=None, help="core frequency in GHz (DVFS)"
     )
-    parser.add_argument(
+    # One measurement mode per run: argparse rejects any two together.
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--fork", type=int, default=None, metavar="N", help="fork N pinned processes"
     )
-    parser.add_argument(
+    mode.add_argument(
         "--openmp", type=int, default=None, metavar="T", help="run with T OpenMP threads"
     )
-    parser.add_argument(
+    mode.add_argument(
         "--alignment-sweep", action="store_true", help="sweep array alignments"
     )
     parser.add_argument(

@@ -18,12 +18,13 @@ it once.  Pool workers answer with the chunk's records pickled into
 one bytes body, decoded once by :func:`unpack_chunk`, and outlive the
 campaign, so their memos stay warm across ``run_campaign`` calls.
 
-Chunks are sized dynamically: the first chunks of each spec family are
-small, and each next one is sized from an EWMA of observed per-job
-durations to occupy a worker for ``CHUNK_TARGET_MS`` — adaptive-stopping
-campaigns whose per-job cost varies >10x keep every worker busy to the
-tail.  Results are recorded, and become durable in the store, once per
-chunk.
+Chunks are sized by guided self-scheduling: each fresh chunk takes
+⌈jobs not yet carved / workers⌉ jobs, capped at ``_DYNAMIC_MAX_CHUNK``
+and at the jobs left in its spec family, so chunks shrink toward one job
+at the tail and uneven per-job costs (adaptive stopping varies them
+>10x) still keep every worker busy.  No timing input is read, so a
+campaign's chunk layout is the same on every run.  Results are
+recorded, and become durable in the store, once per chunk.
 
 The scheduler is fault-tolerant: a raising job is retried with
 exponential backoff up to ``max_retries`` times, a chunk that exceeds
@@ -92,23 +93,10 @@ _CHUNK_TIMEOUT_SLACK = 0.25
 #: the pool is declared unusable and the run falls back inline.
 _MAX_POOL_BREAKS_BEFORE_INLINE = 3
 
-#: Dynamic chunking: wall-clock a chunk should occupy a worker for.
-#: Large enough to amortize the queue round-trip, small enough that the
-#: tail of a campaign rebalances across workers.  A chunk's results
+#: Hard ceiling on jobs per chunk, so result recording (and
+#: crash-consistent cache flushes) stay granular: a chunk's results
 #: become durable in the store together, so this also bounds the work
 #: an interruption can lose.
-CHUNK_TARGET_MS = 250.0
-
-#: Dynamic chunking: jobs per chunk before any duration has been
-#: observed for a spec family.  Deliberately small — the first chunks
-#: exist to calibrate the EWMA, not to saturate.
-_SEED_CHUNK_SIZE = 4
-
-#: Dynamic chunking: EWMA weight of the newest chunk's mean duration.
-_EWMA_ALPHA = 0.4
-
-#: Dynamic chunking: hard ceiling on jobs per chunk, so result recording
-#: (and crash-consistent cache flushes) stay granular.
 _DYNAMIC_MAX_CHUNK = 256
 
 
@@ -416,26 +404,24 @@ def _gen_group(job: Job) -> tuple[str, str] | None:
 
 
 class _ChunkPlanner:
-    """Carves pending jobs into dispatch units, sized by observed cost.
+    """Carves pending jobs into dispatch units by guided self-scheduling.
 
-    Chunks never span two spec families: a deferred chunk regenerates
-    its spec worker-side, and mixing two specs would run two pipelines
-    in one worker.  Campaign expansion already keeps a sweep's jobs
-    contiguous.  The first chunks of each family are
-    ``_SEED_CHUNK_SIZE`` jobs; once per-job durations flow back from the
-    executor, each next chunk is sized so it should occupy a worker for
-    ``CHUNK_TARGET_MS`` — an EWMA per family, falling back to a
-    campaign-wide EWMA for families not yet seen.  Sizing only changes
-    how many jobs share a launcher and a store write; job identity,
-    seeds, and output bytes are untouched.
+    A fresh chunk takes ⌈jobs not yet carved / ``workers``⌉ jobs, capped
+    at ``_DYNAMIC_MAX_CHUNK`` and at the jobs left in its spec family:
+    early chunks are large, and chunks shrink toward one job at the
+    tail, so no worker is handed the tail alone.  Chunks never span two
+    spec families: a deferred chunk regenerates its spec worker-side,
+    and mixing two specs would run two pipelines in one worker.
+    Campaign expansion already keeps a sweep's jobs contiguous.  Sizing
+    only changes how many jobs share a launcher and a store write; job
+    identity, seeds, and output bytes are untouched.
     """
 
-    def __init__(self, pending: list[Job]) -> None:
-        self._ewma: dict[object, float] = {}
-        self._overall: float | None = None
-        self._groups: deque[tuple[object, deque[Job]]] = deque(
-            (key, deque(group))
-            for key, group in itertools.groupby(pending, key=_gen_group)
+    def __init__(self, pending: list[Job], workers: int) -> None:
+        self._workers = workers
+        self._left = len(pending)
+        self._groups: deque[deque[Job]] = deque(
+            deque(group) for _key, group in itertools.groupby(pending, key=_gen_group)
         )
 
     def exhausted(self) -> bool:
@@ -445,36 +431,15 @@ class _ChunkPlanner:
         """The next fresh dispatch unit, or ``None`` when drained."""
         if not self._groups:
             return None
-        key, batch = self._groups[0]
-        size = min(self._size_for(key), len(batch))
+        batch = self._groups[0]
+        size = min(
+            _DYNAMIC_MAX_CHUNK, -(-self._left // self._workers), len(batch)
+        )
         jobs = [batch.popleft() for _ in range(size)]
+        self._left -= size
         if not batch:
             self._groups.popleft()
         return _Unit(jobs)
-
-    def _size_for(self, key: object) -> int:
-        per_job_ms = self._ewma.get(key, self._overall)
-        if per_job_ms is None:
-            return _SEED_CHUNK_SIZE
-        per_job_ms = max(per_job_ms, 1e-3)
-        return max(1, min(_DYNAMIC_MAX_CHUNK, int(CHUNK_TARGET_MS / per_job_ms)))
-
-    def observe(self, key: object, durations_ms: list[float]) -> None:
-        """Fold one completed chunk's per-job durations into the EWMA."""
-        if not durations_ms:
-            return
-        mean = sum(durations_ms) / len(durations_ms)
-        previous = self._ewma.get(key)
-        self._ewma[key] = (
-            mean
-            if previous is None
-            else _EWMA_ALPHA * mean + (1.0 - _EWMA_ALPHA) * previous
-        )
-        self._overall = (
-            mean
-            if self._overall is None
-            else _EWMA_ALPHA * mean + (1.0 - _EWMA_ALPHA) * self._overall
-        )
 
 
 def _dispatch(
@@ -515,9 +480,9 @@ def _dispatch(
       holds the hung chunk, is rebuilt the same way.
     """
     #: Retry/split re-dispatches; fresh chunks are carved on demand so
-    #: chunk sizing uses the newest duration estimates.
+    #: each is sized from the jobs still left to carve.
     work: deque[_Unit] = deque()
-    planner = _ChunkPlanner(pending)
+    planner = _ChunkPlanner(pending, stats.workers)
     # task_id -> (unit, deadline, perf_counter submit time); submit time
     # feeds the per-chunk trace spans.  Submission is windowed to the
     # worker count, so submission time ~= start time, which is what
@@ -640,9 +605,6 @@ def _dispatch(
             outputs = body
         ever_succeeded = True
         consecutive_breaks = 0
-        planner.observe(
-            _gen_group(unit.jobs[0]), [duration_ms for _, _, duration_ms in outputs]
-        )
         by_id = {job.job_id: job for job in unit.jobs}
         pairs = [(by_id[job_id], dicts) for job_id, dicts, _ in outputs]
         for (job, dicts), ok in zip(pairs, record(pairs)):
@@ -746,8 +708,10 @@ def run_campaign(
         :class:`KernelRef` descriptions, regenerated in the measuring
         process.  If the pool cannot start (restricted environments), an
         untimed run continues in-process through the same dispatch loop
-        — results are identical either way.  Chunks start at a few jobs
-        and are then sized to ``CHUNK_TARGET_MS`` of observed work.
+        — results are identical either way.  Each fresh chunk holds
+        ⌈jobs not yet carved / ``jobs``⌉ jobs, at most 256 and never more
+        than its spec family has left, so chunks shrink toward one job
+        at the tail of the campaign.
     cache_dir:
         Reuse measurements across runs: jobs whose ID is already stored
         are not executed.  A cached payload that fails validation is

@@ -33,12 +33,12 @@ def reference():
 
 class TestDeterminism:
     @pytest.mark.parametrize("jobs", (1, 2))
-    @pytest.mark.parametrize("chunk_target_ms", (1, 7, None))
+    @pytest.mark.parametrize("max_chunk", (1, 7, None))
     def test_byte_identical_across_dispatch(
-        self, reference, monkeypatch, jobs, chunk_target_ms
+        self, reference, monkeypatch, jobs, max_chunk
     ):
-        if chunk_target_ms is not None:
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        if max_chunk is not None:
+            monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", max_chunk)
         result = _characterize(jobs=jobs)
         assert result.table.to_json().encode() == reference
 

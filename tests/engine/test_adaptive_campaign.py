@@ -56,14 +56,14 @@ def clean(tmp_path_factory):
 
 class TestAdaptiveDeterminism:
     @pytest.mark.parametrize("jobs", (1, 2))
-    @pytest.mark.parametrize("chunk_target_ms", (1, 3, None))
+    @pytest.mark.parametrize("max_chunk", (1, 3, None))
     def test_byte_identical_across_dispatch(
-        self, clean, tmp_path, monkeypatch, jobs, chunk_target_ms
+        self, clean, tmp_path, monkeypatch, jobs, max_chunk
     ):
-        if chunk_target_ms is not None:
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        if max_chunk is not None:
+            monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", max_chunk)
         run = run_campaign(_campaign(), jobs=jobs)
-        tag = f"{jobs}_{chunk_target_ms}"
+        tag = f"{jobs}_{max_chunk}"
         assert run.write_csv(tmp_path / f"{tag}.csv").read_bytes() == clean["csv"]
         assert (
             run.write_jsonl(tmp_path / f"{tag}.jsonl").read_bytes()

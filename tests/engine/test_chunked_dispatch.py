@@ -1,7 +1,7 @@
 """Chunked dispatch: batching jobs per worker cannot change a byte.
 
 Determinism is structural (content-hash noise seeds, job-index row
-order), so any chunking — single-job chunks, the default target, or
+order), so any chunking — single-job chunks, a small cap, the default rule, or
 chunks as large as the planner allows — must write identical result
 files.  The per-worker kernel memo must likewise be invisible: an
 option sweep over one kernel normalizes it once but measures exactly
@@ -11,12 +11,7 @@ the same values.
 import pytest
 
 from repro.engine import Campaign, SweepSpec, run_campaign, runner
-from repro.engine.runner import (
-    _DYNAMIC_MAX_CHUNK,
-    _SEED_CHUNK_SIZE,
-    _ChunkPlanner,
-    run_chunk,
-)
+from repro.engine.runner import _DYNAMIC_MAX_CHUNK, _ChunkPlanner, run_chunk
 from repro.launcher import LauncherOptions
 
 
@@ -37,27 +32,27 @@ def sweep_campaign():
 
 
 class TestResolveChunkSize:
-    """A chunk's size is resolved by the planner: seed chunks first, then
-    ``CHUNK_TARGET_MS`` divided by the observed per-job cost, clipped to
-    [1, ``_DYNAMIC_MAX_CHUNK``] and to the jobs left."""
+    """A fresh chunk holds ⌈jobs not yet carved / workers⌉ jobs, clipped
+    to ``_DYNAMIC_MAX_CHUNK`` and to the jobs left in its spec family."""
 
     def test_auto_targets_a_few_chunks_per_worker(self, sweep_campaign):
         n_jobs = len(sweep_campaign.job_list())
         run = run_campaign(sweep_campaign, jobs=2)
-        # One seed chunk per worker, then chunks grow past the seed size.
-        assert 2 <= run.stats.chunks < n_jobs // _SEED_CHUNK_SIZE
+        # 24 jobs on 2 workers: 12, 6, 3, 2, 1.
+        assert n_jobs == 24
+        assert run.stats.chunks == 5
 
-    def test_auto_never_below_one(self, sweep_campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
-        planner = _ChunkPlanner(sweep_campaign.job_list())
-        planner.observe(None, [1e12])
-        assert len(planner.carve().jobs) == 1
+    def test_tail_chunks_are_single_jobs(self, sweep_campaign):
+        planner = _ChunkPlanner(sweep_campaign.job_list(), 4)
+        sizes = []
+        while not planner.exhausted():
+            sizes.append(len(planner.carve().jobs))
+        # ceil(24 / 4) = 6 first, then shrinking to one job per worker.
+        assert sizes == [6, 5, 4, 3, 2, 1, 1, 1, 1]
 
-    def test_auto_capped(self, sweep_campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
+    def test_auto_capped(self, sweep_campaign):
         many = [sweep_campaign.job_list()[0]] * (3 * _DYNAMIC_MAX_CHUNK)
-        planner = _ChunkPlanner(many)
-        planner.observe(None, [0.001])
+        planner = _ChunkPlanner(many, 1)
         assert len(planner.carve().jobs) == _DYNAMIC_MAX_CHUNK
 
 
@@ -76,15 +71,15 @@ class TestChunkExecution:
 
 class TestChunkedCampaignDeterminism:
     @pytest.mark.parametrize("jobs", (1, 4))
-    @pytest.mark.parametrize("chunk_target_ms", (0.001, 3, None, 1e9))
+    @pytest.mark.parametrize("max_chunk", (1, 3, None, 10_000))
     def test_every_chunking_byte_identical(
-        self, sweep_campaign, tmp_path, monkeypatch, chunk_target_ms, jobs
+        self, sweep_campaign, tmp_path, monkeypatch, max_chunk, jobs
     ):
         serial = run_campaign(sweep_campaign, jobs=1)
-        if chunk_target_ms is not None:
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        if max_chunk is not None:
+            monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", max_chunk)
         chunked = run_campaign(sweep_campaign, jobs=jobs)
-        tag = f"{jobs}_{chunk_target_ms}"
+        tag = f"{jobs}_{max_chunk}"
         a = serial.write_csv(tmp_path / "serial.csv")
         b = chunked.write_csv(tmp_path / f"chunk_{tag}.csv")
         assert a.read_bytes() == b.read_bytes()
@@ -95,7 +90,7 @@ class TestChunkedCampaignDeterminism:
     def test_chunked_run_fills_cache_like_serial(
         self, sweep_campaign, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+        monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", 1)
         chunked = run_campaign(sweep_campaign, jobs=4, cache_dir=tmp_path / "c")
         warm = run_campaign(sweep_campaign, jobs=1, cache_dir=tmp_path / "c")
         assert warm.stats.executed == 0

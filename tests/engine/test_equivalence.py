@@ -7,8 +7,8 @@ and a pool that cannot fork — is crossed with every other axis:
 
 - store: an empty store, a warm store (plus a forced re-measure), and a
   store migrated from the legacy single-file JSONL layout;
-- chunking: single-job chunks, the default target, and one chunk for
-  everything the seed chunks leave;
+- chunking: single-job chunks, the default rule, and one chunk per spec
+  family on every executor;
 - stopping: fixed-count and adaptive;
 - fault: none, raise, transient, garbage, hang and crash (crash only
   where a worker process can die in place of the test).
@@ -42,6 +42,7 @@ from repro.engine import (
     runner,
 )
 from repro.engine.pool import WorkerPool, get_worker_pool, shutdown_worker_pool
+from repro.engine.runner import _ChunkPlanner
 from repro.kernels import loadstore_family
 from repro.kernels.reduction import dot_product_spec
 from repro.launcher import LauncherOptions
@@ -65,8 +66,11 @@ AXES = {
     "fault": ("none", "raise", "transient", "garbage", "hang", "crash"),
 }
 
-#: chunking -> ``runner.CHUNK_TARGET_MS`` (``None``: the default).
-CHUNK_TARGETS = {"default": None, "single": 0.001, "one": 1e9}
+
+def _one_chunk_per_family(pending, _workers):
+    """A planner that sizes every chunk as if one worker took it all."""
+    return _ChunkPlanner(pending, 1)
+
 
 #: fault -> FaultPlan.for_job keywords.  A hang outlasts every chunk's
 #: deadline, so it is always a timeout, never a slow start.
@@ -165,8 +169,9 @@ def fixtures(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def victim():
-    """A mid-grid job of the larger family: in the second seed chunk of
-    a two-worker pool, but a single-job chunk on one worker."""
+    """A mid-grid job of the larger family: in the two-worker pool's
+    first chunk of that family (jobs 4-9), and a single-job chunk in
+    every other hang cell."""
     return _campaign().job_list()[5]
 
 
@@ -246,11 +251,16 @@ def _outcome(run, directory, tag):
 @pytest.mark.parametrize("cell", list(_cells()))
 def test_cell_matches_its_fixture(cell, fixtures, victim, tmp_path, monkeypatch):
     # Hang cells use single-job chunks, so a timed-out chunk is not split
-    # and re-timed again and again; the two-worker pool's seed chunk
-    # still holds the victim, the one place a multi-job chunk times out.
-    target = CHUNK_TARGETS["single" if cell.fault == "hang" else cell.chunking]
-    if target is not None:
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", target)
+    # and re-timed again and again, except on the two-worker pool: its
+    # default first chunk of the larger family holds the victim, the one
+    # place a multi-job chunk times out.
+    chunking = cell.chunking
+    if cell.fault == "hang":
+        chunking = "default" if cell.executor == "pool" else "single"
+    if chunking == "single":
+        monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", 1)
+    elif chunking == "one":
+        monkeypatch.setattr(runner, "_ChunkPlanner", _one_chunk_per_family)
     if cell.executor == "no-fork":
         shutdown_worker_pool()  # a live pool would be reused
         monkeypatch.setattr(WorkerPool, "_spawn_member", _no_forks)
@@ -298,12 +308,10 @@ def test_cell_matches_its_fixture(cell, fixtures, victim, tmp_path, monkeypatch)
         run = _run(cell, **store)
         assert run.stats.executed == run.stats.total_jobs
         assert _outcome(run, tmp_path, "fresh") == expected
-        single_job_floor = run.stats.total_jobs - 3 * jobs
         if cell.chunking == "single":
-            # Only each worker's seed chunk batches several jobs.
-            assert run.stats.chunks >= single_job_floor
+            assert run.stats.chunks == run.stats.total_jobs
         else:
-            assert 1 <= run.stats.chunks < single_job_floor
+            assert 1 <= run.stats.chunks < run.stats.total_jobs - 3 * jobs
         assert f"chunks={run.stats.chunks}" in repr(run.stats)
         return
 

@@ -84,7 +84,7 @@ def test_executors_agree_under_faults(campaign, victim, fault, monkeypatch, tmp_
     faults = FaultPlan.for_job(victim.job_id, **plan_kwargs)
     if fault == "hang":
         # Single-job chunks: a timed-out chunk is not split and re-timed.
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+        monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", 1)
     outcomes = {}
     for executor in EXECUTORS:
         if executor == "no-fork" and "job_timeout" in run_kwargs:
@@ -115,8 +115,7 @@ def test_raising_job_in_an_inline_chunk_quarantines_only_itself(
 ):
     """The chunk the raise fails is split, and its other jobs still land."""
     clean = run_campaign(campaign, jobs=1)
-    # Every chunk after the seed spans the grid.
-    monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
+    # One worker: the planner carves the whole 16-job grid as one chunk.
     run = _run(
         campaign,
         "inline",

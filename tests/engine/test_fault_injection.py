@@ -96,14 +96,14 @@ class TestQuarantine:
     """Acceptance criterion: one always-failing job -> N-1 identical rows."""
 
     @pytest.mark.parametrize(
-        "jobs,chunk_target_ms", [(1, None), (4, None), (4, 1), (4, 3), (4, 10_000)]
+        "jobs,max_chunk", [(1, None), (4, None), (4, 1), (4, 3), (4, 10_000)]
     )
     def test_poisoned_job_degrades_to_n_minus_1(
-        self, campaign, clean, victim, tmp_path, monkeypatch, jobs, chunk_target_ms
+        self, campaign, clean, victim, tmp_path, monkeypatch, jobs, max_chunk
     ):
         faults = FaultPlan.for_job(victim.job_id, "raise")
-        if chunk_target_ms is not None:
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        if max_chunk is not None:
+            monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", max_chunk)
         run = run_campaign(
             campaign,
             jobs=jobs,
@@ -117,7 +117,7 @@ class TestQuarantine:
         assert len(run.rows()) == len(clean.rows()) - 1
 
         expected = _without(clean, victim.job_id)
-        tag = f"{jobs}_{chunk_target_ms}"
+        tag = f"{jobs}_{max_chunk}"
         a = expected.write_csv(tmp_path / f"expected_{tag}.csv")
         b = run.write_csv(tmp_path / f"faulted_{tag}.csv")
         assert a.read_bytes() == b.read_bytes()
@@ -229,7 +229,7 @@ class TestTimeouts:
         _require_pool()
         # Single-job chunks: the hung job's chunk is not split and timed
         # out again at every level.
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+        monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", 1)
         faults = FaultPlan.for_job(victim.job_id, "hang", hang_seconds=5.0)
         threads = threading.enumerate()
         run = run_campaign(
@@ -424,7 +424,7 @@ class TestAdaptiveFaults:
         # Single-job chunks: the hung job's chunk is not split and timed
         # out again at every level.
         _require_pool()
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+        monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", 1)
         faults = FaultPlan.for_job(
             adaptive_victim.job_id, "hang", hang_seconds=5.0
         )

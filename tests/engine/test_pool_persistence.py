@@ -2,7 +2,7 @@
 
 Workers now outlive ``run_campaign``: the second campaign in a process
 reuses the first one's pool.  These tests pin the contracts that make
-that safe: (1) the dynamic planner sizes chunks from observed cost;
+that safe: (1) the planner sizes chunks from the jobs left to carve;
 (2) a reused pool produces byte-identical output to a fresh one, also
 warm from a migrated legacy store; (3) every fault-injection behaviour
 (crash, hang, garbage, kill/resume) holds when the workers are warm;
@@ -24,12 +24,7 @@ from repro.engine.pool import (
     get_worker_pool,
     shutdown_worker_pool,
 )
-from repro.engine.runner import (
-    _DYNAMIC_MAX_CHUNK,
-    _SEED_CHUNK_SIZE,
-    _ChunkPlanner,
-    _gen_group,
-)
+from repro.engine.runner import _DYNAMIC_MAX_CHUNK, _ChunkPlanner, _gen_group
 from repro.launcher import LauncherOptions
 from tests.legacy_jsonl import to_legacy
 
@@ -68,79 +63,75 @@ def _bytes(run, tmp_path, tag):
     )
 
 
-class TestChunkPolicyResolution:
-    """One chunk policy remains: dynamic sizing toward a wall-time target."""
+def _layout(jobs, workers):
+    """Chunk sizes the planner carves from ``jobs`` for ``workers``."""
+    planner = _ChunkPlanner(jobs, workers)
+    sizes = []
+    while not planner.exhausted():
+        sizes.append(len(planner.carve().jobs))
+    return sizes
 
-    def test_auto_is_dynamic_without_explicit_size(self, campaign):
+
+class TestChunkPolicyResolution:
+    """One chunk policy remains: guided self-scheduling over jobs left."""
+
+    def test_pooled_chunk_count_is_predicted(self, campaign):
+        # 16 jobs on 2 workers: ceil(left / 2) each time, 8, 4, 2, 1, 1.
         run = run_campaign(campaign, jobs=2)
-        # Seed chunks first, then chunks sized from measured durations:
-        # 16 cheap jobs need fewer chunks than fixed seed-size slicing.
-        assert 2 <= run.stats.chunks < len(campaign.job_list()) // _SEED_CHUNK_SIZE
+        assert run.stats.total_jobs == 16
+        assert run.stats.chunks == 5
 
     def test_run_records_policy(self, campaign, monkeypatch):
         """Inline runs chunk too, and both executors record their chunks."""
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 0.001)
+        monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", 1)
         for jobs in (1, 2):
             run = run_campaign(campaign, jobs=jobs)
             assert run.stats.chunks > len(campaign.job_list()) // 2
 
 
 class TestDynamicPlanner:
-    """A chunk's size is resolved by the planner: seed chunks first, then
-    ``CHUNK_TARGET_MS`` divided by the observed per-job cost, clipped to
-    [1, ``_DYNAMIC_MAX_CHUNK``] and to the jobs left."""
+    """A fresh chunk holds ⌈jobs not yet carved / workers⌉ jobs, clipped
+    to ``_DYNAMIC_MAX_CHUNK`` and to the jobs left in its spec family."""
 
-    def test_seeds_small_then_tracks_target(self, campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 100.0)
+    def test_first_chunk_is_jobs_over_workers(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs)
-        first = planner.carve()
-        assert len(first.jobs) == _SEED_CHUNK_SIZE
-        # Fast jobs (2ms each): chunks should grow toward 100ms/2ms = 50.
-        planner.observe(_gen_group(jobs[0]), [2.0] * len(first.jobs))
-        grown = planner.carve()
-        assert len(grown.jobs) == min(50, len(jobs) - _SEED_CHUNK_SIZE)
+        assert len(_ChunkPlanner(jobs, 2).carve().jobs) == len(jobs) // 2
+        assert len(_ChunkPlanner(jobs, 3).carve().jobs) == 6  # ceil(16 / 3)
 
-    def test_chunk_is_target_over_per_job_cost(self, campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 20.0)
-        planner = _ChunkPlanner(campaign.job_list())
-        planner.observe(None, [2.0])
-        assert len(planner.carve().jobs) == 10  # 20 ms / 2 ms per job
+    def test_chunk_is_jobs_left_over_workers(self, campaign):
+        assert _layout(campaign.job_list(), 2) == [8, 4, 2, 1, 1]
+        assert _layout(campaign.job_list(), 4) == [4, 3, 3, 2, 1, 1, 1, 1]
 
-    def test_slow_jobs_shrink_chunks_to_one(self, campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 100.0)
+    def test_tail_spreads_across_workers(self, campaign):
+        """A 254-job campaign on 4 workers: no chunk takes the tail alone,
+        and the last chunks are single jobs."""
+        jobs = [campaign.job_list()[0]] * 254
+        sizes = _layout(jobs, 4)
+        assert sum(sizes) == 254
+        assert max(sizes) == 64  # ceil(254 / 4)
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[-4:] == [1, 1, 1, 1]
+
+    def test_chunk_size_is_capped(self, campaign):
+        jobs = [campaign.job_list()[0]] * (3 * _DYNAMIC_MAX_CHUNK)
+        assert max(_layout(jobs, 1)) == _DYNAMIC_MAX_CHUNK
+
+    def test_last_chunk_takes_what_is_left(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs)
-        planner.observe(_gen_group(jobs[0]), [10_000.0])
-        assert len(planner.carve().jobs) == 1
-
-    def test_chunk_size_is_capped(self, campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
-        jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs)
-        planner.observe(_gen_group(jobs[0]), [0.001])
-        assert len(planner.carve().jobs) <= _DYNAMIC_MAX_CHUNK
-
-    def test_last_chunk_takes_what_is_left(self, campaign, monkeypatch):
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
-        jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs)
-        first = planner.carve()
-        planner.observe(None, [1.0] * len(first.jobs))
-        rest = planner.carve()
-        assert first.jobs + rest.jobs == jobs  # one chunk takes what is left
+        planner = _ChunkPlanner(jobs, 1)
+        assert planner.carve().jobs == jobs  # one worker: one chunk takes all
         assert planner.exhausted()
 
     def test_planner_drains_every_job_once(self, campaign):
         jobs = campaign.job_list()
-        planner = _ChunkPlanner(jobs)
+        planner = _ChunkPlanner(jobs, 2)
         carved = []
         while not planner.exhausted():
             carved.extend(planner.carve().jobs)
         assert carved == jobs
         assert planner.carve() is None
 
-    def test_chunks_never_span_spec_families(self, monkeypatch):
+    def test_chunks_never_span_spec_families(self):
         from repro.kernels import loadstore_family
         from repro.kernels.reduction import dot_product_spec
         from repro.machine import nehalem_2s_x5650
@@ -156,9 +147,7 @@ class TestDynamicPlanner:
         )
         jobs = two_specs.job_list(defer=True)
         assert len({_gen_group(j) for j in jobs}) == 2
-        monkeypatch.setattr(runner, "CHUNK_TARGET_MS", 1e9)
-        planner = _ChunkPlanner(jobs)
-        planner.observe(_gen_group(jobs[0]), [0.001])  # huge chunks allowed
+        planner = _ChunkPlanner(jobs, 1)  # one worker: the largest chunks
         while not planner.exhausted():
             unit = planner.carve()
             assert len({_gen_group(j) for j in unit.jobs}) == 1
@@ -176,22 +165,23 @@ class TestDynamicPlanner:
         )
         serial = run_campaign(small, jobs=1)
         wide = run_campaign(small, jobs=4)
-        assert wide.stats.chunks == 1  # the seed chunk holds all three jobs
+        # ceil(3 / 4), ceil(2 / 4), ceil(1 / 4): three one-job chunks,
+        # one per worker, instead of one worker holding all three.
+        assert wide.stats.chunks == 3
         assert wide.measurements() == serial.measurements()
 
 
 class TestPoolReuse:
     @pytest.mark.parametrize(
-        "chunk_target_ms",
-        (pytest.param(None, id="default"), pytest.param(0.001, id="single-job")),
+        "max_chunk",
+        (pytest.param(None, id="default"), pytest.param(1, id="single-job")),
     )
     @pytest.mark.parametrize("origin", ("jsonl", "sharded"))
     def test_fresh_and_reused_pools_byte_identical(
-        self, campaign, serial_bytes, tmp_path, monkeypatch, chunk_target_ms,
-        origin,
+        self, campaign, serial_bytes, tmp_path, monkeypatch, max_chunk, origin,
     ):
-        if chunk_target_ms is not None:
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        if max_chunk is not None:
+            monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", max_chunk)
         kwargs = dict(jobs=2)
         shutdown_worker_pool()
         fresh = run_campaign(
@@ -201,7 +191,7 @@ class TestPoolReuse:
         reused = run_campaign(
             campaign, cache_dir=tmp_path / "reused", **kwargs
         )
-        tag = f"{origin}-{chunk_target_ms}"
+        tag = f"{origin}-{max_chunk}"
         assert _bytes(fresh, tmp_path, f"fresh-{tag}") == serial_bytes
         assert _bytes(reused, tmp_path, f"reused-{tag}") == serial_bytes
         # Both runs filled their caches completely: a warm rerun executes

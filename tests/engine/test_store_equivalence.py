@@ -45,14 +45,14 @@ def _output_bytes(run, directory, tag):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("chunk_target_ms", (1, 3, None))
-    def test_backends_byte_identical(self, tmp_path, monkeypatch, chunk_target_ms):
+    @pytest.mark.parametrize("max_chunk", (1, 3, None))
+    def test_backends_byte_identical(self, tmp_path, monkeypatch, max_chunk):
         """A cold pool run, a warm inline run from its store, and a warm
         run from the same store migrated out of legacy JSONL files all
         write the same bytes."""
         dirs = dict(cache_dir=tmp_path / "cache", gen_cache_dir=tmp_path / "gen")
-        if chunk_target_ms is not None:
-            monkeypatch.setattr(runner, "CHUNK_TARGET_MS", chunk_target_ms)
+        if max_chunk is not None:
+            monkeypatch.setattr(runner, "_DYNAMIC_MAX_CHUNK", max_chunk)
         cold = run_campaign(_campaign(), jobs=2, **dirs)
         expected = _output_bytes(cold, tmp_path, "cold")
         warm = run_campaign(_campaign(), jobs=1, **dirs)

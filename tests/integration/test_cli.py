@@ -120,6 +120,33 @@ class TestLauncherCli:
         assert launcher_main(args) == 0
         assert "rciw:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "modes",
+        (
+            ["--alignment-sweep", "--fork", "8"],
+            ["--fork", "2", "--openmp", "2"],
+            ["--openmp", "2", "--alignment-sweep"],
+        ),
+        ids=("sweep-fork", "fork-openmp", "openmp-sweep"),
+    )
+    def test_mode_flags_are_mutually_exclusive(
+        self, kernel_file, tmp_path, monkeypatch, capsys, modes
+    ):
+        """Two measurement modes exit 2 before any campaign runs, instead
+        of one silently dropping the other."""
+        import repro.cli.launcher_cli as launcher_cli
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(launcher_cli, "run_campaign", no_campaign)
+        csv = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            launcher_main([kernel_file, *modes, "--csv", str(csv)])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_failing_job_exits_3(self, kernel_file, capsys):
         assert launcher_main([kernel_file, "--openmp", "100"]) == 3
         assert "1 of 1 jobs quarantined" in capsys.readouterr().err
